@@ -349,3 +349,18 @@ func TestHandlers(t *testing.T) {
 		t.Fatalf("pprof cmdline status %d", resp.StatusCode)
 	}
 }
+
+func TestRegistryRemove(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Inc()
+	r.Gauge("g").Set(2)
+	r.Histogram("h", []float64{1}).Observe(0.5)
+	r.Counter("kept").Inc()
+	r.Remove("c", "g", "h", "never-registered")
+	if got := r.MetricNames(); len(got) != 1 || got[0] != "kept" {
+		t.Fatalf("names after Remove = %v, want [kept]", got)
+	}
+	if v := r.Counter("c").Value(); v != 0 {
+		t.Fatalf("re-created counter = %d, want a fresh 0", v)
+	}
+}

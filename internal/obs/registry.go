@@ -92,6 +92,21 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// Remove drops the named metrics, whatever their kind, so a series
+// whose subject is gone (a replication target, say) stops appearing in
+// snapshots. Holders of the removed pointers may keep updating them
+// unseen; a later get-or-create under the same name starts afresh.
+// Unknown names are ignored.
+func (r *Registry) Remove(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range names {
+		delete(r.counters, n)
+		delete(r.gauges, n)
+		delete(r.hists, n)
+	}
+}
+
 // BucketCount is one histogram bucket in a snapshot. LE is the upper
 // bound rendered as a string so the implicit "+Inf" bucket survives
 // JSON encoding.

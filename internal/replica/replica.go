@@ -104,9 +104,6 @@ type Config struct {
 	AckTimeout time.Duration
 	// ChunkBytes bounds one shipment's payload. Default 256 KiB.
 	ChunkBytes int
-	// Poll is the tail-follow poll interval when caught up. Default
-	// 10ms.
-	Poll time.Duration
 	// Chaos, when set, injects partition/latency faults on the
 	// shipping hop.
 	Chaos *resilience.Chaos
@@ -177,9 +174,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 256 << 10
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 10 * time.Millisecond
-	}
 	if cfg.Retry.MaxAttempts == 0 {
 		cfg.Retry = resilience.DefaultRetry
 	}
@@ -239,7 +233,8 @@ func (n *Node) StartLeading() {
 	n.log.Info("replica: leading", "targets", len(n.cfg.Targets), "ack", n.cfg.Ack, "epoch", n.cfg.Store.Epoch())
 }
 
-// Stop cancels the shippers and waits for them to exit.
+// Stop cancels the shippers, waits for them to exit, and drops their
+// per-target metric series from obs.Default.
 func (n *Node) Stop() {
 	n.leadMu.Lock()
 	if n.shipCancel != nil {
@@ -247,6 +242,11 @@ func (n *Node) Stop() {
 	}
 	n.leadMu.Unlock()
 	n.shipWG.Wait()
+	n.leadMu.Lock()
+	for _, s := range n.shippers {
+		obs.Default.Remove(s.names...)
+	}
+	n.leadMu.Unlock()
 }
 
 // Promote flips this node to leader: the fencing epoch is durably

@@ -19,6 +19,7 @@ import (
 
 	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/market/markettest"
+	"github.com/datamarket/mbp/internal/obs"
 	"github.com/datamarket/mbp/internal/pricing"
 	"github.com/datamarket/mbp/internal/replica"
 	"github.com/datamarket/mbp/internal/resilience"
@@ -79,9 +80,6 @@ func newLeader(t *testing.T, targets []string, o store.Options, cfg replica.Conf
 	cfg.Store = d.Store()
 	cfg.Broker = b
 	cfg.Targets = targets
-	if cfg.Poll <= 0 {
-		cfg.Poll = 2 * time.Millisecond
-	}
 	n, err := replica.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -382,5 +380,32 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 	}
 	if _, err := f.b.BuyAtPoint(markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
 		t.Fatalf("follower sale: %v, want ErrFollower", err)
+	}
+}
+
+// TestStopDropsTargetSeries: every leader registers labeled shipping
+// series per target, so a process that starts and stops leaders
+// against ever-new follower addresses must not grow the registry.
+func TestStopDropsTargetSeries(t *testing.T) {
+	cycle := func() {
+		f := newFollower(t, store.Options{})
+		ld := newLeader(t, []string{f.url}, store.Options{}, replica.Config{})
+		ld.node.StartLeading()
+		if _, err := ld.b.BuyAtPoint(markettest.Model, markettest.Menu(t, ld.b)[0].Delta); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, "follower to catch up", func() bool { return converged(ld, f) })
+		if got := ld.node.Status().Targets; len(got) != 1 || got[0].Target != f.url {
+			t.Fatalf("leader status targets = %+v, want %s", got, f.url)
+		}
+		ld.node.Stop()
+	}
+	cycle() // registers the process-wide series once
+	before := len(obs.Default.MetricNames())
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if after := len(obs.Default.MetricNames()); after != before {
+		t.Fatalf("registry grew from %d to %d series over 3 leader lifetimes", before, after)
 	}
 }

@@ -58,29 +58,46 @@ type shipper struct {
 	metSnaps   *obs.Counter
 	metLagF    *obs.Gauge
 	metLagS    *obs.Gauge
+	names      []string // the labeled series above
 
 	cursor     uint64
 	haveCursor bool
 
 	// caughtMu guards lastCaught, the last instant this target held
-	// the full stream (Status reads it from another goroutine).
+	// the full stream, and parked, set while the shipper waits for the
+	// next frame with the target caught up (Status and the other
+	// shippers read both).
 	caughtMu   sync.Mutex
 	lastCaught time.Time
+	parked     bool
 }
 
+// minBackoff floors the sleep after a failed step, so a retry policy
+// with no delay cannot turn a dead follower into a hot loop.
+const minBackoff = 10 * time.Millisecond
+
 func newShipper(n *Node, target string, idx uint64) *shipper {
-	return &shipper{
+	s := &shipper{
 		n:          n,
 		target:     target,
 		breaker:    resilience.NewBreaker(n.cfg.Breaker),
 		r:          rng.Stream(n.cfg.Seed, idx+1),
-		metShipped: obs.Default.Counter(obs.Name("replica.frames_shipped_total", "target", target)),
-		metErrs:    obs.Default.Counter(obs.Name("replica.ship_errors_total", "target", target)),
-		metSnaps:   obs.Default.Counter(obs.Name("replica.snapshots_shipped_total", "target", target)),
-		metLagF:    obs.Default.Gauge(obs.Name("replica.lag_frames", "target", target)),
-		metLagS:    obs.Default.Gauge(obs.Name("replica.lag_seconds", "target", target)),
 		lastCaught: time.Now(),
 	}
+	s.metShipped = obs.Default.Counter(s.series("replica.frames_shipped_total"))
+	s.metErrs = obs.Default.Counter(s.series("replica.ship_errors_total"))
+	s.metSnaps = obs.Default.Counter(s.series("replica.snapshots_shipped_total"))
+	s.metLagF = obs.Default.Gauge(s.series("replica.lag_frames"))
+	s.metLagS = obs.Default.Gauge(s.series("replica.lag_seconds"))
+	return s
+}
+
+// series names this target's labeled series of base, and remembers it
+// for Node.Stop to remove.
+func (s *shipper) series(base string) string {
+	name := obs.Name(base, "target", s.target)
+	s.names = append(s.names, name)
+	return name
 }
 
 // run tails the local store into the target until ctx is canceled or
@@ -103,14 +120,30 @@ func (s *shipper) run(ctx context.Context) {
 			continue
 		}
 		if !progressed {
-			s.sleep(ctx, s.n.cfg.Poll)
+			s.park(ctx)
 		}
 	}
 }
 
+// park blocks a caught-up shipper until the store commits a frame past
+// its cursor, so a new frame ships as soon as it is durable. The
+// target holds the full stream until that moment.
+func (s *shipper) park(ctx context.Context) {
+	s.caughtMu.Lock()
+	s.parked = true
+	s.caughtMu.Unlock()
+	// A canceled ctx ends run's loop, and a closed store fails the next
+	// step, so the error needs no handling here.
+	_ = s.n.cfg.Store.WaitFrames(ctx, s.cursor)
+	s.caughtMu.Lock()
+	s.parked = false
+	s.lastCaught = time.Now()
+	s.caughtMu.Unlock()
+}
+
 // step advances the target by one unit of work: learning the cursor,
 // shipping one chunk, or shipping a snapshot bootstrap. It reports
-// whether it moved data (false = caught up, poll before retrying).
+// whether it moved data (false = caught up, park before retrying).
 func (s *shipper) step(ctx context.Context) (bool, error) {
 	if !s.haveCursor {
 		st, err := s.probe(ctx)
@@ -341,24 +374,20 @@ func (s *shipper) updateLag() {
 func (s *shipper) lagSeconds() float64 {
 	s.caughtMu.Lock()
 	defer s.caughtMu.Unlock()
-	if time.Since(s.lastCaught) <= 0 {
+	if s.parked || time.Since(s.lastCaught) <= 0 {
 		return 0
 	}
 	return time.Since(s.lastCaught).Seconds()
 }
 
 // backoff is the sleep after a failed step: the retry policy's cap,
-// jittered, floored at the poll interval.
+// jittered, floored at minBackoff.
 func (s *shipper) backoff() time.Duration {
 	d := s.n.cfg.Retry.MaxDelay
 	if d <= 0 {
 		d = 250 * time.Millisecond
 	}
-	j := time.Duration(s.r.Uniform(0.5, 1.5) * float64(d))
-	if j < s.n.cfg.Poll {
-		j = s.n.cfg.Poll
-	}
-	return j
+	return max(time.Duration(s.r.Uniform(0.5, 1.5)*float64(d)), minBackoff)
 }
 
 func (s *shipper) sleep(ctx context.Context, d time.Duration) {

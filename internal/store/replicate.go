@@ -21,10 +21,11 @@ package store
 //
 // The stream digest doubles as the divergence audit: two replicas at
 // the same frame cursor must report the same digest, and the leader
-// keeps a ring of recent (frames, digest) pairs so it can compare a
-// lagging follower's digest against its own history.
+// keeps a ring of its recent digests, indexed by frame, so it can
+// compare a lagging follower's digest against its own history.
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -61,14 +62,22 @@ type snapHeader struct {
 // cannot demand an absurd allocation.
 const maxSnapHeaderBytes = 4096
 
-// digestRingSize is how many recent (frames, digest) pairs the store
-// retains for divergence audits against lagging followers.
+// digestRingSize is how many recent stream digests the store retains
+// for divergence audits against lagging followers.
 const digestRingSize = 4096
 
-// digestPoint is one historical digest observation.
-type digestPoint struct {
-	frames uint64
-	digest uint32
+// tailRingSize is how many recently committed frames remember where
+// they start on disk. A shipper tailing near the head finds its cursor
+// there and reads only the end of the live segment.
+const tailRingSize = 64
+
+// tailPos records that frame starts at byte off of segment seg.
+// Segment indices start at 1, so a zero slot never matches a live
+// segment.
+type tailPos struct {
+	frame uint64
+	seg   uint64
+	off   int64
 }
 
 // writeSnapHeader frames hdr onto w.
@@ -118,14 +127,47 @@ func (s *Store) Frames() uint64 { return s.frames.Load() }
 // stream order. Replicas at the same Frames() must agree on it.
 func (s *Store) StreamDigest() uint32 { return s.digest.Load() }
 
-// pushDigestLocked files the current (frames, digest) pair into the
-// audit ring. Callers hold s.mu.
-func (s *Store) pushDigestLocked() {
-	if len(s.ring) == 0 {
-		return
+// WaitFrames blocks until the stream holds more than cursor frames
+// (nil), the store closes (ErrClosed), or ctx ends (ctx.Err()). Only
+// committed appends and snapshot installs advance the stream, so a
+// failed append never wakes it.
+func (s *Store) WaitFrames(ctx context.Context, cursor uint64) error {
+	for {
+		s.mu.Lock()
+		if s.frames.Load() > cursor {
+			s.mu.Unlock()
+			return nil
+		}
+		if s.closed {
+			s.mu.Unlock()
+			return ErrClosed
+		}
+		if s.waitCh == nil {
+			s.waitCh = make(chan struct{})
+		}
+		ch := s.waitCh
+		s.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	s.ring[s.ringHead] = digestPoint{frames: s.frames.Load(), digest: s.digest.Load()}
-	s.ringHead = (s.ringHead + 1) % len(s.ring)
+}
+
+// wakeLocked releases every WaitFrames caller to re-check the cursor.
+// With no caller waiting it does nothing. Callers hold s.mu.
+func (s *Store) wakeLocked() {
+	if s.waitCh != nil {
+		close(s.waitCh)
+		s.waitCh = nil
+	}
+}
+
+// pushDigestLocked files the current digest into the audit ring.
+// Callers hold s.mu.
+func (s *Store) pushDigestLocked() {
+	s.digests[s.frames.Load()%digestRingSize] = s.digest.Load()
 }
 
 // DigestAt looks up the stream digest this store observed when its
@@ -138,12 +180,11 @@ func (s *Store) DigestAt(frames uint64) (uint32, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.ring {
-		if p.frames == frames {
-			return p.digest, true
-		}
+	head := s.frames.Load()
+	if frames < s.ringLo || frames > head || head-frames >= digestRingSize {
+		return 0, false
 	}
-	return 0, false
+	return s.digests[frames%digestRingSize], true
 }
 
 // ReadFrom returns records starting at the given frame cursor, up to
@@ -154,12 +195,19 @@ func (s *Store) DigestAt(frames uint64) (uint32, bool) {
 // ErrCompacted: those records no longer exist as frames and the reader
 // must bootstrap from LatestSnapshot instead. Reads do not block
 // appends: file contents are re-scanned (and CRC-checked) outside the
-// store lock, bounded by the committed size captured under it.
+// store lock, bounded by the committed size captured under it. A
+// cursor among the last tailRingSize committed frames of the live
+// segment reads only from that frame's offset on; any other cursor
+// scans its segments from the start.
 func (s *Store) ReadFrom(cursor uint64, maxBytes int) ([][]byte, uint64, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	type segMeta struct{ idx, start uint64 }
+	// off is where frame start begins in segment idx.
+	type segMeta struct {
+		idx, start uint64
+		off        int64
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -168,9 +216,14 @@ func (s *Store) ReadFrom(cursor uint64, maxBytes int) ([][]byte, uint64, error) 
 	base := s.base
 	head := s.frames.Load()
 	liveIdx, liveSize := s.index, s.size
-	segs := make([]segMeta, 0, len(s.segStart))
-	for idx, start := range s.segStart {
-		segs = append(segs, segMeta{idx: idx, start: start})
+	var segs []segMeta
+	if t := s.tails[cursor%tailRingSize]; t.frame == cursor && t.seg == liveIdx {
+		segs = []segMeta{{idx: liveIdx, start: cursor, off: t.off}}
+	} else {
+		segs = make([]segMeta, 0, len(s.segStart))
+		for idx, start := range s.segStart {
+			segs = append(segs, segMeta{idx: idx, start: start})
+		}
 	}
 	s.mu.Unlock()
 
@@ -196,15 +249,16 @@ func (s *Store) ReadFrom(cursor uint64, maxBytes int) ([][]byte, uint64, error) 
 	next := cursor
 	for i := first; i < len(segs) && next < head; i++ {
 		sg := segs[i]
-		buf, err := os.ReadFile(filepath.Join(s.dir, segName(sg.idx)))
+		end := int64(-1)
+		if sg.idx == liveIdx {
+			end = liveSize // never past the committed size
+		}
+		buf, err := readSegment(filepath.Join(s.dir, segName(sg.idx)), sg.off, end)
 		if err != nil {
 			// A concurrent compaction can delete the segment between the
 			// metadata capture and this read; the caller falls back to a
 			// snapshot bootstrap exactly as for a stale cursor.
 			return nil, cursor, fmt.Errorf("%w: %v", ErrCompacted, err)
-		}
-		if sg.idx == liveIdx && int64(len(buf)) > liveSize {
-			buf = buf[:liveSize] // never past the committed size
 		}
 		records, _, err := scanFrames(buf, segName(sg.idx), true)
 		if err != nil {
@@ -227,6 +281,26 @@ func (s *Store) ReadFrom(cursor uint64, maxBytes int) ([][]byte, uint64, error) 
 		}
 	}
 	return out, next, nil
+}
+
+// readSegment returns bytes [off, end) of the segment file at path, or
+// the whole file when end is negative (sealed segments are always read
+// whole; only the live segment is read from an offset).
+func readSegment(path string, off, end int64) ([]byte, error) {
+	if end < 0 {
+		return os.ReadFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, end-off)
+	n, err := f.ReadAt(buf, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // LatestSnapshot returns the newest snapshot's frame boundary, stream
@@ -318,9 +392,9 @@ func (s *Store) InstallSnapshot(framesBefore uint64, digest uint32, payload io.R
 	s.frames.Store(framesBefore)
 	s.digest.Store(digest)
 	s.segStart = map[uint64]uint64{boundary: framesBefore}
-	s.ring = make([]digestPoint, digestRingSize)
-	s.ringHead = 0
+	s.ringLo = framesBefore
 	s.pushDigestLocked()
+	s.wakeLocked()
 	segs, snaps, err := scanDir(s.dir)
 	if err == nil {
 		s.removeObsolete(segs, snaps, boundary)

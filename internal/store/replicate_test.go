@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestFramesAndDigestAdvance(t *testing.T) {
@@ -54,6 +57,67 @@ func TestDigestAtHistory(t *testing.T) {
 	}
 	if _, ok := s.DigestAt(99); ok {
 		t.Fatal("DigestAt past the head reported an observation")
+	}
+}
+
+func TestDigestAtAcrossOpenAndInstall(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := open(t, dir, Options{}, nil, nil)
+	appendAll(t, s, "a", "b", "c")
+	atThree := s.StreamDigest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopened: the head at Open is observed, earlier cursors never were.
+	s, _ = open(t, dir, Options{}, nil, nil)
+	defer s.Close()
+	if d, ok := s.DigestAt(3); !ok || d != atThree {
+		t.Fatalf("DigestAt(Open's head) = %08x,%v, want %08x,true", d, ok, atThree)
+	}
+	for _, f := range []uint64{1, 2} {
+		if _, ok := s.DigestAt(f); ok {
+			t.Fatalf("DigestAt(%d) before Open's head reported an observation", f)
+		}
+	}
+	appendAll(t, s, "d")
+	if d, ok := s.DigestAt(4); !ok || d != s.StreamDigest() {
+		t.Fatalf("DigestAt(4) = %08x,%v, want %08x,true", d, ok, s.StreamDigest())
+	}
+
+	// An install jumps the cursor: only the boundary and what follows
+	// it were observed.
+	if err := s.InstallSnapshot(10, 0xfeed, strings.NewReader("state")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "k")
+	if d, ok := s.DigestAt(10); !ok || d != 0xfeed {
+		t.Fatalf("DigestAt(install boundary) = %08x,%v, want feed,true", d, ok)
+	}
+	if d, ok := s.DigestAt(11); !ok || d != s.StreamDigest() {
+		t.Fatalf("DigestAt(11) = %08x,%v, want %08x,true", d, ok, s.StreamDigest())
+	}
+	for _, f := range []uint64{3, 4, 5, 9, 12} {
+		if _, ok := s.DigestAt(f); ok {
+			t.Fatalf("DigestAt(%d) across the install reported an observation", f)
+		}
+	}
+}
+
+func TestDigestAtAgesOut(t *testing.T) {
+	s, _ := open(t, t.TempDir(), Options{Policy: FsyncNever}, nil, nil)
+	defer s.Close()
+	digests := make([]uint32, digestRingSize+3)
+	for i := 1; i < len(digests); i++ {
+		appendAll(t, s, fmt.Sprintf("r%d", i))
+		digests[i] = s.StreamDigest()
+	}
+	head := uint64(len(digests) - 1)
+	for f := uint64(1); f <= head; f++ {
+		d, ok := s.DigestAt(f)
+		if wantOK := head-f < digestRingSize; ok != wantOK || (ok && d != digests[f]) {
+			t.Fatalf("DigestAt(%d) at head %d = %08x,%v, want %08x,%v", f, head, d, ok, digests[f], wantOK)
+		}
 	}
 }
 
@@ -233,5 +297,312 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeFrames(append(wire, 0x7)); err == nil {
 		t.Fatal("DecodeFrames accepted trailing bytes")
+	}
+}
+
+// waitFrames runs WaitFrames on its own goroutine. It returns once the
+// waiter is parked on s.waitCh (so a later wake-up is caused by what
+// the test does next), with the channel it parked on and the channel
+// its result arrives on.
+func waitFrames(t *testing.T, ctx context.Context, s *Store, cursor uint64) (parked chan struct{}, res <-chan error) {
+	t.Helper()
+	out := make(chan error, 1)
+	go func() { out <- s.WaitFrames(ctx, cursor) }()
+	for {
+		s.mu.Lock()
+		ch := s.waitCh
+		s.mu.Unlock()
+		if ch != nil {
+			return ch, out
+		}
+		select {
+		case err := <-out:
+			t.Fatalf("WaitFrames(%d) returned %v before anything committed", cursor, err)
+		default:
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stillWaiting fails the test if the waiter returned or was woken.
+func stillWaiting(t *testing.T, parked chan struct{}, res <-chan error, after string) {
+	t.Helper()
+	select {
+	case err := <-res:
+		t.Fatalf("WaitFrames returned %v after %s", err, after)
+	case <-parked:
+		t.Fatalf("WaitFrames was woken by %s", after)
+	default:
+	}
+}
+
+// waitCtx bounds a test's waits, so a missed wake-up fails the test
+// with context.DeadlineExceeded instead of hanging it.
+func waitCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+func TestWaitFramesWakesOnCommit(t *testing.T) {
+	t.Run("append", func(t *testing.T) {
+		ctx := waitCtx(t)
+		s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+		defer s.Close()
+		appendAll(t, s, "a")
+		if err := s.WaitFrames(ctx, 0); err != nil {
+			t.Fatalf("WaitFrames below the head = %v, want nil at once", err)
+		}
+		parked, res := waitFrames(t, ctx, s, 1)
+		stillWaiting(t, parked, res, "parking")
+		appendAll(t, s, "b")
+		if err := <-res; err != nil {
+			t.Fatalf("WaitFrames after append = %v, want nil", err)
+		}
+	})
+	t.Run("install", func(t *testing.T) {
+		s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+		defer s.Close()
+		_, res := waitFrames(t, waitCtx(t), s, 0)
+		if err := s.InstallSnapshot(5, 0, strings.NewReader("state")); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-res; err != nil {
+			t.Fatalf("WaitFrames after install = %v, want nil", err)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+		_, res := waitFrames(t, waitCtx(t), s, 0)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-res; !errors.Is(err, ErrClosed) {
+			t.Fatalf("WaitFrames after Close = %v, want ErrClosed", err)
+		}
+		if err := s.WaitFrames(context.Background(), 0); !errors.Is(err, ErrClosed) {
+			t.Fatalf("WaitFrames on a closed store = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		s, _ := open(t, t.TempDir(), Options{}, nil, nil)
+		defer s.Close()
+		ctx, cancel := context.WithCancel(waitCtx(t))
+		_, res := waitFrames(t, ctx, s, 0)
+		cancel()
+		if err := <-res; !errors.Is(err, context.Canceled) {
+			t.Fatalf("WaitFrames after cancel = %v, want context.Canceled", err)
+		}
+	})
+}
+
+func TestWaitFramesIgnoresFailedAppends(t *testing.T) {
+	injected := errors.New("injected")
+	t.Run("fsync-err", func(t *testing.T) {
+		failSync := true
+		s, _ := open(t, t.TempDir(), Options{Faults: &Faults{Sync: func() error {
+			if failSync {
+				return injected
+			}
+			return nil
+		}}}, nil, nil)
+		defer s.Close()
+		parked, res := waitFrames(t, waitCtx(t), s, 0)
+		if err := s.Append([]byte("scrubbed")); !errors.Is(err, injected) {
+			t.Fatalf("append = %v, want the injected fsync error", err)
+		}
+		stillWaiting(t, parked, res, "a scrubbed append")
+		failSync = false
+		appendAll(t, s, "kept")
+		if err := <-res; err != nil {
+			t.Fatalf("WaitFrames after the next good append = %v, want nil", err)
+		}
+	})
+	t.Run("torn", func(t *testing.T) {
+		s, _ := open(t, t.TempDir(), Options{Faults: &Faults{Write: func(frame []byte) (int, error) {
+			return len(frame) / 2, injected
+		}}}, nil, nil)
+		parked, res := waitFrames(t, waitCtx(t), s, 0)
+		if err := s.Append([]byte("torn record")); !errors.Is(err, injected) {
+			t.Fatalf("append = %v, want the injected tear", err)
+		}
+		stillWaiting(t, parked, res, "a torn append")
+		s.Close()
+		if err := <-res; !errors.Is(err, ErrClosed) {
+			t.Fatalf("WaitFrames after Close = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// TestWaitFramesConcurrentAppenders checks for lost wake-ups: waiters
+// that step through every cursor must all reach the head while eight
+// goroutines append at once. A lost wake-up leaves a waiter parked
+// until the context deadline.
+func TestWaitFramesConcurrentAppenders(t *testing.T) {
+	const appenders, perAppender, waiters = 8, 40, 4
+	const total = appenders * perAppender
+	s, _ := open(t, t.TempDir(), Options{Policy: FsyncNever}, nil, nil)
+	defer s.Close()
+	ctx := waitCtx(t)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, appenders+waiters)
+	for w := 0; w < waiters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cursor := uint64(0); cursor < total; cursor++ {
+				if err := s.WaitFrames(ctx, cursor); err != nil {
+					errs <- fmt.Errorf("waiter stuck at cursor %d of %d: %w", cursor, total, err)
+					return
+				}
+			}
+		}()
+	}
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < perAppender; i++ {
+				if err := s.Append([]byte(fmt.Sprintf("appender-%d-%d", a, i))); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if s.Frames() != total {
+		t.Fatalf("frames = %d, want %d", s.Frames(), total)
+	}
+}
+
+// fullRead is ReadFrom with the tail-offset ring hidden, so every
+// cursor scans its segments from the start: the reference the hinted
+// reads must match.
+func fullRead(s *Store, cursor uint64, maxBytes int) ([][]byte, uint64, error) {
+	s.mu.Lock()
+	saved := s.tails
+	s.tails = [tailRingSize]tailPos{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.tails = saved
+		s.mu.Unlock()
+	}()
+	return s.ReadFrom(cursor, maxBytes)
+}
+
+// hinted reports whether ReadFrom(cursor) takes the offset path.
+func hinted(s *Store, cursor uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.tails[cursor%tailRingSize]
+	return t.frame == cursor && t.seg == s.index
+}
+
+// TestReadFromHintMatchesFullScan is the property test for the
+// tail-offset ring: at every cursor from the snapshot base to the head,
+// and for chunk sizes down to one byte, the offset-hinted ReadFrom
+// returns exactly the records and next cursor of a full segment scan.
+func TestReadFromHintMatchesFullScan(t *testing.T) {
+	injected := errors.New("injected fsync")
+	rec := func(i int) []byte { return []byte(strings.Repeat(fmt.Sprintf("r%d.", i), 1+i%5)) }
+	cases := []struct {
+		name string
+		o    Options
+		// build appends to s, reporting after each append whether the
+		// next fsync should fail.
+		build func(t *testing.T, s *Store, failSync *bool)
+	}{
+		{"rotation", Options{SegmentBytes: 96}, func(t *testing.T, s *Store, _ *bool) {
+			for i := 0; i < 150; i++ {
+				appendAll(t, s, string(rec(i)))
+			}
+			// End with frames in the live segment, where hints apply.
+			for s.Frames()-s.segStart[s.index] < 2 {
+				appendAll(t, s, "tail")
+			}
+		}},
+		{"compaction", Options{SegmentBytes: 4096}, func(t *testing.T, s *Store, _ *bool) {
+			for i := 0; i < 40; i++ {
+				appendAll(t, s, string(rec(i)))
+			}
+			if err := s.Snapshot(func(w io.Writer) error { _, err := w.Write([]byte("state")); return err }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 40; i < 120; i++ {
+				appendAll(t, s, string(rec(i)))
+			}
+		}},
+		{"install", Options{}, func(t *testing.T, s *Store, _ *bool) {
+			appendAll(t, s, "pre-install")
+			if err := s.InstallSnapshot(1000, 7, strings.NewReader("state")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				appendAll(t, s, string(rec(i)))
+			}
+		}},
+		{"scrubbed-fsync", Options{}, func(t *testing.T, s *Store, failSync *bool) {
+			for i := 0; i < 100; i++ {
+				if i%7 == 3 {
+					*failSync = true
+					if err := s.Append([]byte(fmt.Sprintf("scrubbed-%d", i))); !errors.Is(err, injected) {
+						t.Fatalf("append under fsync fault = %v, want injected", err)
+					}
+					*failSync = false
+				}
+				appendAll(t, s, string(rec(i)))
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			failSync := false
+			o := tc.o
+			o.Faults = &Faults{Sync: func() error {
+				if failSync {
+					return injected
+				}
+				return nil
+			}}
+			s, _ := open(t, t.TempDir(), o, nil, nil)
+			defer s.Close()
+			tc.build(t, s, &failSync)
+			s.mu.Lock()
+			base := s.base
+			s.mu.Unlock()
+			head := s.Frames()
+			hints := 0
+			for cursor := base; cursor <= head; cursor++ {
+				if hinted(s, cursor) {
+					hints++
+				}
+				for _, maxBytes := range []int{1, 10, 64, 1 << 20} {
+					want, wantNext, wantErr := fullRead(s, cursor, maxBytes)
+					got, next, err := s.ReadFrom(cursor, maxBytes)
+					if err != nil || wantErr != nil {
+						t.Fatalf("ReadFrom(%d, %d): err %v, full scan err %v", cursor, maxBytes, err, wantErr)
+					}
+					if next != wantNext || len(got) != len(want) {
+						t.Fatalf("ReadFrom(%d, %d) = %d records next %d, full scan %d records next %d",
+							cursor, maxBytes, len(got), next, len(want), wantNext)
+					}
+					for i := range want {
+						if !bytes.Equal(got[i], want[i]) {
+							t.Fatalf("ReadFrom(%d, %d) record %d = %q, full scan %q", cursor, maxBytes, i, got[i], want[i])
+						}
+					}
+				}
+			}
+			if hints == 0 {
+				t.Fatal("no cursor took the offset-hinted path")
+			}
+		})
 	}
 }

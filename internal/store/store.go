@@ -179,15 +179,24 @@ type Store struct {
 	// base + everything appended since), identical across replicas
 	// because every node appends the same record sequence. digest chains
 	// a CRC32C over every payload in stream order; epoch is the
-	// persisted leader-fencing epoch. base, segStart and the digest ring
-	// are guarded by mu.
+	// persisted leader-fencing epoch. base, segStart, the digest and
+	// tail rings and waitCh are guarded by mu.
 	frames   atomic.Uint64
 	digest   atomic.Uint32
 	epoch    atomic.Uint64
 	base     uint64            // frames covered by the newest snapshot
 	segStart map[uint64]uint64 // segment index → global frame index of its first record
-	ring     []digestPoint     // recent (frames, digest) pairs for divergence audits
-	ringHead int
+	// digests[f % digestRingSize] is the stream digest at cursor f, for
+	// every f from ringLo (the cursor at Open or InstallSnapshot) to the
+	// head, within the last digestRingSize frames.
+	digests [digestRingSize]uint32
+	ringLo  uint64
+	// tails[f % tailRingSize] is where recently committed frame f starts
+	// on disk; see ReadFrom.
+	tails [tailRingSize]tailPos
+	// waitCh is closed (and reset to nil) when the cursor advances or
+	// the store closes; WaitFrames creates it only when it must block.
+	waitCh chan struct{}
 }
 
 // Open opens (creating if needed) the store in dir and replays its
@@ -305,7 +314,7 @@ func Open(dir string, o Options, onSnapshot func(io.Reader) error, onRecord func
 		segStart[s.index] = s.frames.Load()
 	}
 	s.segStart = segStart
-	s.ring = make([]digestPoint, digestRingSize)
+	s.ringLo = s.frames.Load()
 	s.pushDigestLocked()
 	epoch, err := readEpoch(dir)
 	if err != nil {
@@ -494,10 +503,14 @@ func (s *Store) Append(rec []byte) error {
 	}
 	// The record is committed: advance the logical frame cursor and fold
 	// the payload into the stream digest (both after the durability
-	// barrier, so a scrubbed frame is never counted).
+	// barrier, so a scrubbed frame is never counted), then wake the
+	// WaitFrames callers.
+	f := s.frames.Load()
+	s.tails[f%tailRingSize] = tailPos{frame: f, seg: s.index, off: s.size - int64(len(frame))}
 	s.digest.Store(crc32.Update(s.digest.Load(), castagnoli, rec))
 	s.frames.Add(1)
 	s.pushDigestLocked()
+	s.wakeLocked()
 	if s.hooks.OnAppend != nil {
 		s.hooks.OnAppend(time.Since(start))
 	}
@@ -710,6 +723,7 @@ func (s *Store) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
+	s.wakeLocked()
 	s.mu.Unlock()
 	close(s.stop)
 	<-s.done
