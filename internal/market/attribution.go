@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/datamarket/mbp/internal/obs"
 )
@@ -51,6 +52,23 @@ type SellerStake struct {
 // pointer so the sell path reads it lock-free.
 type stakeTable struct {
 	stakes []SellerStake
+	// gauges[i] is stakes[i]'s revenue gauge. They are resolved on the
+	// table's first sale, not at publish, so /metrics lists a seller
+	// from the first sale that credits them, as it always has.
+	gaugesOnce sync.Once
+	gauges     []*obs.Gauge
+}
+
+// revenueGauges returns the per-stake revenue gauges, looking them up
+// in the registry only on the first call.
+func (t *stakeTable) revenueGauges() []*obs.Gauge {
+	t.gaugesOnce.Do(func() {
+		t.gauges = make([]*obs.Gauge, len(t.stakes))
+		for i, s := range t.stakes {
+			t.gauges[i] = metSellerRevenue(s.ID)
+		}
+	})
+	return t.gauges
 }
 
 // metSellerRevenue tracks cumulative attributed revenue per seller; the
@@ -340,15 +358,6 @@ func (b *Broker) applyStakesLocked(stakes []SellerStake, journal bool) error {
 		}
 	}
 	b.stakes.Store(&stakeTable{stakes: norm})
-	return nil
-}
-
-// loadStakes returns the current stake slice (shared, immutable) for
-// the sell path.
-func (b *Broker) loadStakes() []SellerStake {
-	if t := b.stakes.Load(); t != nil {
-		return t.stakes
-	}
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package market
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,12 +86,13 @@ type pendingReplay struct {
 }
 
 // ledgerView is an immutable ledger snapshot: the transactions in Seq
-// order plus their gross revenue, tagged with the record count it was
-// built at so repeated readers can reuse it.
+// order, tagged with the record count it was built at so repeated
+// readers can reuse it, and with how many rows of each stripe it holds
+// so the next build merges in only the rows filed since.
 type ledgerView struct {
 	version uint64
 	txs     []Transaction
-	gross   float64
+	marks   [ledgerShardCount]int
 }
 
 // ledgerShardCount is the number of independent ledger stripes. Sales
@@ -102,10 +105,10 @@ const ledgerShardCount = 16
 // and per-shard mutexes. Allocating a sequence number is a single
 // atomic add; filing the row locks only its stripe. Readers merge the
 // stripes back into Seq order on demand — the write-heavy purchase path
-// pays O(1), the read-side view() pays the sort, and a cache keyed by
-// the recorded-row count means it pays it only when something new was
-// actually recorded (repeated /metrics or Ledger() polls between sales
-// are O(1) pointer loads).
+// pays O(1), and view() sorts only the rows recorded since the cached
+// snapshot and merges them in, so a reader pays for new rows, not for
+// history. The cache is keyed by the recorded-row count: repeated
+// /metrics or Ledger() polls between sales are O(1) pointer loads.
 type shardedLedger struct {
 	seq atomic.Uint64
 	// recorded counts fully filed rows; it is the cache version, bumped
@@ -184,34 +187,65 @@ func (sh *ledgerShard) fileSplitLocked(tx *Transaction) {
 }
 
 // view returns the Seq-ordered snapshot, rebuilding it only when rows
-// were recorded since the cached one. The version is read before the
-// stripes are merged, so a concurrent writer can at worst make the
-// cached snapshot carry a few extra fully-filed rows under a stale
-// version — the next read notices the version moved and rebuilds;
-// readers never see a missing row for a version they observed.
+// were recorded since the cached one. A rebuild never re-reads history:
+// it takes each stripe's rows past the cached view's mark, sorts just
+// those by Seq, and merges them into the cached rows. Stripes are
+// append-only, so rows filed out of Seq order (concurrent sales, a
+// follower diff-filing a snapshot) land in their place without being
+// duplicated or dropped. The version is read before the stripes, so a
+// concurrent writer can at worst make the snapshot carry a few extra
+// fully-filed rows under a stale version — the next read notices the
+// version moved and merges on; readers never see a missing row for a
+// version they observed.
 func (l *shardedLedger) view() *ledgerView {
 	version := l.recorded.Load()
-	if v := l.cache.Load(); v != nil && v.version == version {
-		return v
+	prev := l.cache.Load()
+	if prev != nil && prev.version == version {
+		return prev
 	}
-	out := make([]Transaction, 0, version)
+	next := &ledgerView{version: version}
+	var old []Transaction
+	if prev != nil {
+		old, next.marks = prev.txs, prev.marks
+	}
+	fresh := make([]Transaction, 0, max(int(version)-len(old), 0))
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		out = append(out, sh.txs...)
+		fresh = append(fresh, sh.txs[next.marks[i]:]...)
+		next.marks[i] = len(sh.txs)
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	// Gross revenue is summed over the snapshot itself (not the stripe
-	// totals) so a view is always internally consistent: its gross is
-	// exactly the sum over its rows.
-	var gross float64
-	for i := range out {
-		gross += out[i].Price
+	slices.SortFunc(fresh, func(a, b Transaction) int { return cmp.Compare(a.Seq, b.Seq) })
+	next.txs = mergeSeq(old, fresh)
+	// A losing racer built from the same prev; its view is just as
+	// valid, so it is returned but not cached over the winner's.
+	l.cache.CompareAndSwap(prev, next)
+	return next
+}
+
+// mergeSeq merges two Seq-ordered row sets into a new exact-sized
+// slice. old is shared with an immutable view and is only read; when
+// fresh is empty it is returned as is.
+func mergeSeq(old, fresh []Transaction) []Transaction {
+	if len(fresh) == 0 {
+		return old
 	}
-	v := &ledgerView{version: version, txs: out, gross: gross}
-	l.cache.Store(v)
-	return v
+	out := make([]Transaction, 0, len(old)+len(fresh))
+	// New rows almost always follow every old one: copy the old rows
+	// that precede the first new one in bulk, then merge the rest.
+	i := sort.Search(len(old), func(k int) bool { return old[k].Seq > fresh[0].Seq })
+	out = append(out, old[:i]...)
+	old = old[i:]
+	for len(old) > 0 && len(fresh) > 0 {
+		if fresh[0].Seq < old[0].Seq {
+			out, fresh = append(out, fresh[0]), fresh[1:]
+		} else {
+			out, old = append(out, old[0]), old[1:]
+		}
+	}
+	out = append(out, old...)
+	return append(out, fresh...)
 }
 
 // count returns the number of recorded transactions.
@@ -219,15 +253,15 @@ func (l *shardedLedger) count() int {
 	return int(l.recorded.Load())
 }
 
-// totals implements Ledger. It deliberately bypasses view(): building
-// the merged snapshot is O(n log n) plus an n-row allocation, and the
-// cache never helps a live market (every recorded sale bumps the
-// version), so an auditor polling totals through view() would rebuild
-// the world every sweep. Instead each stripe is scanned in place under
-// its lock — the gross re-sum walks the raw rows in append order, the
-// stripe figure reads the running total, and because both come from the
-// same locked read they can only disagree if the append-time accounting
-// itself is broken.
+// totals implements Ledger. It deliberately bypasses view(): every
+// rebuild allocates a fresh n-row snapshot, and the cache never helps a
+// live market (every recorded sale bumps the version), so an auditor
+// polling totals through view() would copy the world every sweep.
+// Instead each stripe is scanned in place under its lock — the gross
+// re-sum walks the raw rows in append order, the stripe figure reads
+// the running total, and because both come from the same locked read
+// they can only disagree if the append-time accounting itself is
+// broken.
 func (l *shardedLedger) totals() (int, float64, float64) {
 	var rows int
 	var gross, stripeGross float64

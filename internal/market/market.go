@@ -543,7 +543,7 @@ func (b *Broker) BuyWithErrorBudgetForContext(ctx context.Context, m ml.Model, e
 	}
 	// Clamp to the offered range of the default grid (identical grids
 	// by construction, but guard against numerical drift).
-	lo, hi := off.deltaBounds()
+	lo, hi := off.transform.Bounds()
 	delta = math.Min(math.Max(delta, lo), hi)
 	return b.sell(ctx, m, off, delta)
 }
@@ -572,13 +572,6 @@ func (b *Broker) PriceErrorCurve(m ml.Model) ([]pricing.PriceError, error) {
 	return pricing.PriceErrorCurve(off.curve, off.transform), nil
 }
 
-// deltaBounds returns the offered NCP range [min, max] of the transform
-// grid.
-func (o *offer) deltaBounds() (float64, float64) {
-	ds, _ := o.transform.Grid()
-	return ds[0], ds[len(ds)-1]
-}
-
 // BuyAtPoint executes option 1: the buyer picks an NCP δ directly.
 func (b *Broker) BuyAtPoint(m ml.Model, delta float64) (*Purchase, error) {
 	return b.BuyAtPointContext(context.Background(), m, delta)
@@ -598,7 +591,7 @@ func (b *Broker) BuyAtPointContext(ctx context.Context, m ml.Model, delta float6
 		metRejected.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
 	}
-	lo, hi := off.deltaBounds()
+	lo, hi := off.transform.Bounds()
 	if delta < lo || delta > hi || math.IsNaN(delta) {
 		metRejected.Inc()
 		return nil, fmt.Errorf("market: δ=%v outside offered range [%v, %v]", delta, lo, hi)
@@ -638,7 +631,7 @@ func (b *Broker) BuyWithPriceBudgetContext(ctx context.Context, m ml.Model, budg
 		metRejected.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
 	}
-	lo, hi := off.deltaBounds()
+	lo, hi := off.transform.Bounds()
 	if budget < off.curve.Price(1/hi) {
 		metRejected.Inc()
 		return nil, fmt.Errorf("%w: %v < %v", ErrBudgetTooSmall, budget, off.curve.Price(1/hi))
@@ -726,7 +719,7 @@ func (b *Broker) QuoteContext(ctx context.Context, m ml.Model, delta float64) (p
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %v", ErrUnknownModel, m)
 	}
-	lo, hi := off.deltaBounds()
+	lo, hi := off.transform.Bounds()
 	if delta < lo || delta > hi || math.IsNaN(delta) {
 		return 0, 0, fmt.Errorf("market: δ=%v outside offered range [%v, %v]", delta, lo, hi)
 	}
@@ -778,7 +771,8 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 	// (Σ shares + brokerShare == price bit-for-bit; see splitPrice).
 	// The table is part of the transaction, so it journals in the same
 	// WAL frame as the sale.
-	brokerShare, shares := splitPrice(price, b.commission, b.loadStakes())
+	stakes := b.stakes.Load()
+	brokerShare, shares := splitPrice(price, b.commission, stakes.stakes)
 	p := &Purchase{
 		Instance:      instance,
 		Model:         m,
@@ -819,8 +813,8 @@ func (b *Broker) sell(ctx context.Context, m ml.Model, off *offer, delta float64
 	}
 	metPurchases.Inc()
 	metRevenue.Add(price)
-	for i := range shares {
-		metSellerRevenue(shares[i].SellerID).Add(shares[i].Amount)
+	for i, g := range stakes.revenueGauges() {
+		g.Add(shares[i].Amount)
 	}
 	return p, nil
 }
@@ -851,12 +845,21 @@ func idempotencyKeyFrom(ctx context.Context) string {
 }
 
 // Ledger returns a copy of all recorded transactions in Seq order.
-// Repeated calls between sales are cheap: the Seq-ordered merge of the
-// ledger stripes is cached and reused until a new row is recorded
-// (only the defensive copy is paid per call).
 func (b *Broker) Ledger() []Transaction {
-	v := b.ledger.view()
-	return append([]Transaction(nil), v.txs...)
+	rows, _ := b.LedgerFrom(0)
+	return rows
+}
+
+// LedgerFrom returns a copy of the Seq-ordered transactions from
+// position from on, plus the total row count; a from past the end
+// yields no rows. Repeated calls between sales are cheap: the
+// Seq-ordered merge of the ledger stripes is cached and reused until a
+// new row is recorded, and only the copied suffix is paid per call —
+// a reader that wants the newest rows does not copy history.
+func (b *Broker) LedgerFrom(from int) (rows []Transaction, total int) {
+	txs := b.ledger.view().txs
+	from = min(max(from, 0), len(txs))
+	return append([]Transaction(nil), txs[from:]...), len(txs)
 }
 
 // RevenueSplit is the single-seller compatibility view of the per-sale

@@ -201,6 +201,9 @@ func TestIdentityTransform(t *testing.T) {
 	if err != nil || math.Abs(d-2.5) > 1e-12 {
 		t.Fatalf("DeltaForError(2.5) = %v, %v", d, err)
 	}
+	if lo, hi := tr.Bounds(); lo != 1 || hi != 4 {
+		t.Fatalf("Bounds() = (%v, %v), want (1, 4)", lo, hi)
+	}
 }
 
 func TestTransformValidation(t *testing.T) {

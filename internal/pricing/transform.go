@@ -90,6 +90,12 @@ func (t *Transform) Grid() (deltas, errs []float64) {
 	return append([]float64(nil), t.deltas...), append([]float64(nil), t.errs...)
 }
 
+// Bounds returns the smallest and largest tabulated δ without copying
+// the grid.
+func (t *Transform) Bounds() (lo, hi float64) {
+	return t.deltas[0], t.deltas[len(t.deltas)-1]
+}
+
 // ErrorForDelta returns the expected error at NCP δ, interpolating
 // linearly and clamping outside the tabulated range.
 func (t *Transform) ErrorForDelta(delta float64) float64 {

@@ -319,16 +319,16 @@ func (r *Repricer) Epoch(now time.Time) Record {
 		return rec
 	}
 
-	// Snapshot the ledger and slide the window: the sales between the
-	// boundary Window epochs back and now. Boundaries are row counts,
-	// so the window's contents are a deterministic multiset of the
-	// sessions completed between epochs, regardless of seq interleaving.
-	txs := r.cfg.Broker.Ledger()
-	rows := len(txs)
+	// Read the window off the ledger: the sales between the boundary
+	// Window epochs back and now. Boundaries are row counts, so the
+	// window's contents are a deterministic multiset of the sessions
+	// completed between epochs, regardless of seq interleaving. Only the
+	// window's rows are copied, not the history before it.
 	start := 0
 	if len(r.bounds) >= r.cfg.Window {
 		start = r.bounds[len(r.bounds)-r.cfg.Window]
 	}
+	txs, rows := r.cfg.Broker.LedgerFrom(start)
 	r.bounds = append(r.bounds, rows)
 	if len(r.bounds) > r.cfg.Window {
 		r.bounds = r.bounds[len(r.bounds)-r.cfg.Window:]
@@ -346,8 +346,8 @@ func (r *Repricer) Epoch(now time.Time) Record {
 		grid[i], prior[i] = p.X, p.Price
 	}
 
-	samples := make([]Sample, 0, rows-start)
-	for i := start; i < rows; i++ {
+	samples := make([]Sample, 0, len(txs))
+	for i := range txs {
 		if txs[i].Model != r.cfg.Model {
 			continue
 		}
