@@ -11,6 +11,7 @@ package main
 // number there is that contention adds no cliff.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -117,13 +118,13 @@ func runThroughput(out string, d time.Duration, workers int) error {
 	}
 	buy := func(b *market.Broker, delta float64) func() error {
 		return func() error {
-			_, err := b.BuyAtPoint(markettest.Model, delta)
+			_, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 			return err
 		}
 	}
 	quote := func(b *market.Broker, delta float64) func() error {
 		return func() error {
-			_, _, err := b.Quote(markettest.Model, delta)
+			_, _, err := b.Quote(context.Background(), markettest.Model, delta)
 			return err
 		}
 	}
@@ -140,7 +141,7 @@ func runThroughput(out string, d time.Duration, workers int) error {
 		if err != nil {
 			return err
 		}
-		menu, err := b.PriceErrorCurve(markettest.Model)
+		menu, err := b.PriceErrorCurve(markettest.Model, "")
 		if err != nil {
 			return err
 		}
@@ -175,7 +176,7 @@ func runThroughput(out string, d time.Duration, workers int) error {
 	if err != nil {
 		return err
 	}
-	menu, err := b.PriceErrorCurve(markettest.Model)
+	menu, err := b.PriceErrorCurve(markettest.Model, "")
 	if err != nil {
 		return err
 	}

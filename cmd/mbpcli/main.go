@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -108,7 +109,7 @@ func main() {
 		mp.Seller.Data.Train.Name, mp.Seller.Data.Train.N(), mp.Seller.Data.Train.D(),
 		mp.Seller.Data.Test.N(), mp.Model)
 
-	rows, err := mp.Broker.PriceErrorCurve(mp.Model)
+	rows, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		fail(err)
 	}
@@ -120,17 +121,18 @@ func main() {
 		}
 	}
 
-	var p *market.Purchase
+	var spec market.Spec
 	switch {
 	case *budget > 0:
-		p, err = mp.Broker.BuyWithPriceBudget(mp.Model, *budget)
+		spec = market.Spec{Kind: market.PriceBudget, Value: *budget}
 	case *maxErr > 0:
-		p, err = mp.Broker.BuyWithErrorBudget(mp.Model, *maxErr)
+		spec = market.Spec{Kind: market.ErrorBudget, Value: *maxErr}
 	case *delta > 0:
-		p, err = mp.Broker.BuyAtPoint(mp.Model, *delta)
+		spec = market.Spec{Kind: market.AtPoint, Value: *delta}
 	default:
 		return
 	}
+	p, _, err := mp.Broker.Buy(context.Background(), mp.Model, spec)
 	if err != nil {
 		fail(err)
 	}

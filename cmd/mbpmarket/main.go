@@ -123,7 +123,7 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per request; 0 disables")
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently served requests; 0 disables")
 		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "max wait for an admission slot before shedding with 503")
-		chaosSpec   = flag.String("chaos", "", "fault injection, e.g. err=0.1,latency=0.05,latency-ms=20,hang=0.01,drop=0.02,seed=7")
+		chaosSpec   = flag.String("chaos", "", "fault injection, e.g. latency=0.05,latency-ms=20,hang=0.01,drop=0.02,seed=7")
 	)
 	flag.Parse()
 
@@ -174,9 +174,6 @@ func main() {
 		logger.Warn("CHAOS MODE: injecting faults into live traffic", "spec", *chaosSpec)
 		opts = append(opts, httpapi.WithChaos(chaos))
 	}
-	// The exchange→broker hop ships guarded by default; single-broker
-	// mode ignores these options.
-	opts = append(opts, httpapi.WithHopBreaker(resilience.BreakerConfig{}))
 
 	// Market-health stack, part 1: the self-scraper samples the serving
 	// registry into a bounded ring (served at /metrics/history) and the

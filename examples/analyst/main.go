@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ import (
 	"github.com/datamarket/mbp/internal/dataset"
 	"github.com/datamarket/mbp/internal/linalg"
 	"github.com/datamarket/mbp/internal/loss"
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/rng"
 )
@@ -104,7 +106,7 @@ func main() {
 	fmt.Println("budget sweep (option 3 — price budget):")
 	fmt.Printf("%-10s %-10s %-14s %-14s\n", "budget", "δ", "quoted err", "realized 0/1")
 	for _, budget := range []float64{20, 40, 80, 140, 195} {
-		p, err := mp.Broker.BuyWithPriceBudget(mp.Model, budget)
+		p, _, err := mp.Broker.Buy(context.Background(), mp.Model, market.Spec{Kind: market.PriceBudget, Value: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -121,6 +123,6 @@ func main() {
 	}
 	fmt.Printf("\nsimulated population of %d buyers: %d purchases (affordability %.2f), revenue %.1f\n",
 		sum.Buyers, sum.Sales, sum.Affordability, sum.Revenue)
-	sellerShare, brokerShare := mp.Broker.RevenueSplit()
-	fmt.Printf("seller share %.1f, broker commission %.1f\n", sellerShare, brokerShare)
+	rev := mp.Broker.Revenue()
+	fmt.Printf("seller share %.1f, broker commission %.1f\n", rev.SellerShare, rev.BrokerShare)
 }

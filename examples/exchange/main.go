@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ex := market.NewExchange()
 
 	// Seller 1: protein-structure regression with concave demand for
@@ -60,12 +62,12 @@ func main() {
 
 	fmt.Println("marketplace listings:")
 	for _, name := range ex.Listings() {
-		b, err := ex.Broker(name)
+		b, err := ex.Broker(ctx, name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		models := b.Models()
-		menu, err := b.PriceErrorCurve(models[0])
+		menu, err := b.PriceErrorCurve(models[0], "")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,26 +77,26 @@ func main() {
 
 	// Buyers shop across listings.
 	fmt.Println("\nbuyers:")
-	b1, err := ex.Broker("protein-rmsd")
+	b1, err := ex.Broker(ctx, "protein-rmsd")
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := b1.BuyWithPriceBudget(mp1.Model, 45)
+	p, _, err := b1.Buy(ctx, mp1.Model, market.Spec{Kind: market.PriceBudget, Value: 45})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  biotech startup buys %v from protein-rmsd: δ=%.4g err=%.5g price=%.2f\n",
 		p.Model, p.Delta, p.ExpectedError, p.Price)
 
-	b2, err := ex.Broker("susy-signal")
+	b2, err := ex.Broker(ctx, "susy-signal")
 	if err != nil {
 		log.Fatal(err)
 	}
-	menu2, err := b2.PriceErrorCurve(mp2.Model)
+	menu2, err := b2.PriceErrorCurve(mp2.Model, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err = b2.BuyWithErrorBudget(mp2.Model, menu2[len(menu2)/2].ExpectedError)
+	p, _, err = b2.Buy(ctx, mp2.Model, market.Spec{Kind: market.ErrorBudget, Value: menu2[len(menu2)/2].ExpectedError})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,9 +104,9 @@ func main() {
 		p.Model, p.Delta, p.ExpectedError, p.Price)
 
 	// Aggregated accounting across the exchange.
-	sellerShare, brokerShare := ex.TotalRevenue()
+	rev := ex.Revenue()
 	fmt.Printf("\nexchange totals: sellers earn %.2f, platform commissions %.2f\n",
-		sellerShare, brokerShare)
+		rev.SellerShare, rev.BrokerShare)
 	fmt.Println("(serve the same thing over HTTP with cmd/mbpmarket, or many listings")
 	fmt.Println(" via httpapi.NewExchange — endpoints /listings and /l/{listing}/...)")
 }

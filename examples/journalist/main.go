@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 	"github.com/datamarket/mbp/internal/dataset"
 	"github.com/datamarket/mbp/internal/linalg"
 	"github.com/datamarket/mbp/internal/loss"
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/rng"
 )
 
@@ -91,7 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nPart 2 — %v on %s via the broker:\n", mp.Model, split.Train.Name)
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func main() {
 		menu[len(menu)-1].ExpectedError, menu[len(menu)-1].Price)
 
 	for _, budget := range []float64{25, 50, 90} {
-		p, err := mp.Broker.BuyWithPriceBudget(mp.Model, budget)
+		p, _, err := mp.Broker.Buy(context.Background(), mp.Model, market.Spec{Kind: market.PriceBudget, Value: budget})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("L2 sensitivity of the trained optimum: Δ₂ ≤ %.6f\n\n", sens)
 
 	// Every menu row gets a privacy annotation.
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		log.Fatal(err)
 	}

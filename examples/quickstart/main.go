@@ -11,15 +11,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/datamarket/mbp/internal/core"
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/synth"
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. The seller's dataset: a scaled-down CASP (protein RMSD
 	//    regression, Table 3). Any CSV works too — see cmd/mbpcli.
 	mp, err := core.New(core.Config{
@@ -35,7 +38,7 @@ func main() {
 		mp.Model, mp.Seller.Data.Train.Name, mp.Seller.Data.Train.N(), mp.Seller.Data.Train.D())
 
 	// 2. The broker's published price–error curve (Fig. 1C, step 2).
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func main() {
 	}
 
 	// 3a. Option 1 — buy a specific point on the curve.
-	p1, err := mp.Broker.BuyAtPoint(mp.Model, menu[len(menu)/2].Delta)
+	p1, _, err := mp.Broker.Buy(ctx, mp.Model, market.Spec{Kind: market.AtPoint, Value: menu[len(menu)/2].Delta})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func main() {
 	// 3b. Option 2 — error budget: "at most this error, as cheap as
 	//     possible".
 	budgetErr := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p2, err := mp.Broker.BuyWithErrorBudget(mp.Model, budgetErr)
+	p2, _, err := mp.Broker.Buy(ctx, mp.Model, market.Spec{Kind: market.ErrorBudget, Value: budgetErr})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func main() {
 
 	// 3c. Option 3 — price budget: "most accurate model under this
 	//     price".
-	p3, err := mp.Broker.BuyWithPriceBudget(mp.Model, 40)
+	p3, _, err := mp.Broker.Buy(ctx, mp.Model, market.Spec{Kind: market.PriceBudget, Value: 40})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func main() {
 	fmt.Printf("held-out square loss of the purchased instance: %.5g\n", te.Surrogate)
 
 	// 5. Market accounting.
-	sellerShare, brokerShare := mp.Broker.RevenueSplit()
+	rev := mp.Broker.Revenue()
 	fmt.Printf("\nledger: %d sales — seller earns %.2f, broker commission %.2f\n",
-		len(mp.Broker.Ledger()), sellerShare, brokerShare)
+		len(mp.Broker.Ledger()), rev.SellerShare, rev.BrokerShare)
 }

@@ -19,6 +19,7 @@
 package buyer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -71,7 +72,7 @@ func (ErrorFirst) Name() string { return "error-first" }
 
 // Decide implements Strategy.
 func (ErrorFirst) Decide(b *market.Broker, m ml.Model, p Profile) (Decision, error) {
-	menu, err := b.PriceErrorCurve(m)
+	menu, err := b.PriceErrorCurve(m, "")
 	if err != nil {
 		return Decision{}, err
 	}
@@ -81,7 +82,7 @@ func (ErrorFirst) Decide(b *market.Broker, m ml.Model, p Profile) (Decision, err
 			if row.Price > p.Budget {
 				return Decision{Reason: fmt.Sprintf("meeting error %g costs %g > budget %g", p.TargetError, row.Price, p.Budget)}, nil
 			}
-			pur, err := b.BuyWithErrorBudget(m, p.TargetError)
+			pur, _, err := b.Buy(context.TODO(), m, market.Spec{Kind: market.ErrorBudget, Value: p.TargetError})
 			if err != nil {
 				return Decision{}, err
 			}
@@ -100,7 +101,7 @@ func (BudgetFirst) Name() string { return "budget-first" }
 
 // Decide implements Strategy.
 func (BudgetFirst) Decide(b *market.Broker, m ml.Model, p Profile) (Decision, error) {
-	pur, err := b.BuyWithPriceBudget(m, p.Budget)
+	pur, _, err := b.Buy(context.TODO(), m, market.Spec{Kind: market.PriceBudget, Value: p.Budget})
 	if errors.Is(err, market.ErrBudgetTooSmall) {
 		return Decision{Reason: "budget below the cheapest version"}, nil
 	}
@@ -135,7 +136,7 @@ func (Surplus) value(p Profile, expectedError float64) float64 {
 
 // Decide implements Strategy.
 func (s Surplus) Decide(b *market.Broker, m ml.Model, p Profile) (Decision, error) {
-	menu, err := b.PriceErrorCurve(m)
+	menu, err := b.PriceErrorCurve(m, "")
 	if err != nil {
 		return Decision{}, err
 	}
@@ -151,7 +152,7 @@ func (s Surplus) Decide(b *market.Broker, m ml.Model, p Profile) (Decision, erro
 	if bestIdx < 0 {
 		return Decision{Reason: "no row offers positive surplus within budget"}, nil
 	}
-	pur, err := b.BuyAtPoint(m, menu[bestIdx].Delta)
+	pur, _, err := b.Buy(context.TODO(), m, market.Spec{Kind: market.AtPoint, Value: menu[bestIdx].Delta})
 	if err != nil {
 		return Decision{}, err
 	}

@@ -25,7 +25,7 @@ func testMarketplace(t testing.TB) *core.Marketplace {
 
 func menuBounds(t testing.TB, mp *core.Marketplace) (cheapPrice, topPrice, worstErr, bestErr float64) {
 	t.Helper()
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSurplusPicksBestRow(t *testing.T) {
 		t.Fatalf("decision %+v", d)
 	}
 	// Verify no menu row within budget offers more surplus.
-	menu, _ := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, _ := mp.Broker.PriceErrorCurve(mp.Model, "")
 	s := Surplus{}
 	for _, row := range menu {
 		if row.Price <= p.Budget {

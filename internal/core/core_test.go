@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/curves"
 	"github.com/datamarket/mbp/internal/loss"
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/ml"
 	"github.com/datamarket/mbp/internal/synth"
 )
@@ -17,7 +19,7 @@ func TestNewRegressionDefaults(t *testing.T) {
 	if mp.Model != ml.LinearRegression {
 		t.Fatalf("model %v, want linear regression for regression data", mp.Model)
 	}
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestNewClassificationDefaults(t *testing.T) {
 	if mp.Model != ml.LogisticRegression {
 		t.Fatalf("model %v, want logistic regression for classification data", mp.Model)
 	}
-	if _, err := mp.Broker.BuyWithPriceBudget(mp.Model, 50); err != nil {
+	if _, _, err := mp.Broker.Buy(context.Background(), mp.Model, market.Spec{Kind: market.PriceBudget, Value: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -120,7 +122,7 @@ func TestExplicitResearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}

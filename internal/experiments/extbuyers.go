@@ -31,7 +31,7 @@ func ExtBuyers(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		return err
 	}

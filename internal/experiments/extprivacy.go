@@ -53,7 +53,7 @@ func ExtPrivacy(cfg Config) error {
 		return err
 	}
 
-	menu, err := mp.Broker.PriceErrorCurve(mp.Model)
+	menu, err := mp.Broker.PriceErrorCurve(mp.Model, "")
 	if err != nil {
 		return err
 	}

@@ -1,43 +1,19 @@
 package httpapi
 
 import (
-	"context"
-	"errors"
 	"net/http"
-	"strconv"
 
 	"github.com/datamarket/mbp/internal/market"
-	"github.com/datamarket/mbp/internal/obs"
 	"github.com/datamarket/mbp/internal/obs/trace"
-	"github.com/datamarket/mbp/internal/resilience"
-	"github.com/datamarket/mbp/internal/rng"
 )
 
 // ExchangeServer serves a multi-seller marketplace: every listing's
 // broker is reachable under /l/{listing}/..., with the same endpoint
 // semantics as the single-broker Server.
-//
-// The exchange→broker hop — resolving a listing to its broker, the
-// seam that becomes a network call if brokers move out of process — is
-// guarded by an optional retry policy (WithHopRetry) and circuit
-// breaker (WithHopBreaker), and is where WithChaos injects hop
-// failures. A tripped breaker fails /l/{listing}/* fast with 503 and a
-// Retry-After derived from its cooldown.
 type ExchangeServer struct {
-	ex      *market.Exchange
-	cfg     config
-	retry   resilience.Retry
-	breaker *resilience.Breaker
-	jitter  *rng.Splitter // per-request backoff jitter streams
-
-	metHopRetries *obs.Counter // retried hop attempts (beyond the first)
-	metHopShort   *obs.Counter // requests rejected by the open breaker
+	ex  *market.Exchange
+	cfg config
 }
-
-// jitterSeed seeds the hop-retry jitter streams. Fixed so two runs of
-// the same request sequence back off identically — the same
-// reproducibility contract as the purchase path's RNG streams.
-const jitterSeed = 0x686f70 // "hop"
 
 // NewExchange wraps an exchange. It panics on nil — a wiring error.
 func NewExchange(ex *market.Exchange, opts ...Option) *ExchangeServer {
@@ -48,32 +24,7 @@ func NewExchange(ex *market.Exchange, opts ...Option) *ExchangeServer {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &ExchangeServer{ex: ex, cfg: cfg, retry: resilience.DefaultRetry, jitter: rng.NewSplitter(jitterSeed)}
-	if cfg.hopRetry != nil {
-		s.retry = *cfg.hopRetry
-	}
-	if cfg.hopBreaker != nil {
-		bc := *cfg.hopBreaker
-		if cfg.metrics {
-			state := cfg.reg.Gauge(obs.Name("resilience.breaker_state", "name", "exchange_hop"))
-			transitions := cfg.reg.Counter(obs.Name("resilience.breaker_transitions_total", "name", "exchange_hop"))
-			state.Set(float64(resilience.Closed))
-			user := bc.OnChange
-			bc.OnChange = func(from, to resilience.State) {
-				state.Set(float64(to))
-				transitions.Inc()
-				if user != nil {
-					user(from, to)
-				}
-			}
-			s.metHopShort = cfg.reg.Counter(obs.Name("resilience.breaker_rejections_total", "name", "exchange_hop"))
-		}
-		s.breaker = resilience.NewBreaker(bc)
-	}
-	if cfg.metrics {
-		s.metHopRetries = cfg.reg.Counter("resilience.hop_retries_total")
-	}
-	return s
+	return &ExchangeServer{ex: ex, cfg: cfg}
 }
 
 // ListingsResponse names the marketplace's listings.
@@ -99,96 +50,20 @@ func (s *ExchangeServer) listings(w http.ResponseWriter, r *http.Request) {
 	writeJSON(r.Context(), s.cfg.log(), w, http.StatusOK, ListingsResponse{Listings: s.ex.Listings()})
 }
 
-// perBroker resolves the listing path parameter through the guarded
-// hop and delegates to the single-broker handler. The delegated
+// perBroker resolves the listing path parameter and delegates to the
+// single-broker handler; an unknown listing answers 404. The delegated
 // request carries the exchange span's traceparent header, so the
 // exchange→broker hop stitches into one trace even if the broker
 // handler later moves out of process.
 func (s *ExchangeServer) perBroker(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
-		b, err := s.resolveBroker(ctx, r.PathValue("listing"))
+		b, err := s.ex.Broker(ctx, r.PathValue("listing"))
 		if err != nil {
-			if errors.Is(err, resilience.ErrBreakerOpen) && s.breaker != nil {
-				w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.Cooldown()))
-			}
-			writeErr(ctx, s.cfg.log(), w, hopStatus(err), err)
+			writeErr(ctx, s.cfg.log(), w, http.StatusNotFound, err)
 			return
 		}
 		trace.Inject(ctx, r.Header)
 		h(&Server{broker: b, cfg: s.cfg}, w, r)
-	}
-}
-
-// resolveBroker is the guarded exchange→broker hop: breaker admission,
-// then the lookup (with any injected chaos fault) under the retry
-// policy. Exactly one breaker outcome is recorded per admitted hop.
-func (s *ExchangeServer) resolveBroker(ctx context.Context, listing string) (*market.Broker, error) {
-	if s.breaker != nil {
-		if err := s.breaker.Allow(); err != nil {
-			if s.metHopShort != nil {
-				s.metHopShort.Inc()
-			}
-			if span := trace.FromContext(ctx); span != nil {
-				span.SetAttr("breaker", "open")
-			}
-			return nil, err
-		}
-	}
-	var b *market.Broker
-	jitter, _ := s.jitter.Next()
-	attempts := 0
-	err := s.retry.Do(ctx, jitter, func(attempt int) error {
-		attempts = attempt + 1
-		if err := s.cfg.chaos.Fault(ctx); err != nil {
-			return err
-		}
-		var lerr error
-		b, lerr = s.ex.BrokerContext(ctx, listing)
-		if errors.Is(lerr, market.ErrUnknownListing) {
-			// A missing listing is the caller's mistake, not a hop
-			// fault: retrying cannot help.
-			return resilience.Permanent(lerr)
-		}
-		return lerr
-	})
-	if attempts > 1 {
-		if s.metHopRetries != nil {
-			s.metHopRetries.Add(uint64(attempts - 1))
-		}
-		if span := trace.FromContext(ctx); span != nil {
-			span.SetAttr("hop.attempts", strconv.Itoa(attempts))
-		}
-	}
-	if s.breaker != nil {
-		switch {
-		case err == nil, errors.Is(err, market.ErrUnknownListing):
-			s.breaker.RecordSuccess()
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// The client hanging up says nothing about broker health;
-			// release the probe slot without counting a failure.
-			s.breaker.RecordSuccess()
-		default:
-			s.breaker.RecordFailure()
-		}
-	}
-	return b, err
-}
-
-// hopStatus maps hop failures onto HTTP statuses. Unlike statusFor
-// (broker-side rejections) an unexplained hop failure is a gateway
-// problem, not an unprocessable request.
-func hopStatus(err error) int {
-	switch {
-	case errors.Is(err, market.ErrUnknownListing):
-		return http.StatusNotFound
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	default:
-		return http.StatusBadGateway
 	}
 }

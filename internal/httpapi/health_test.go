@@ -106,7 +106,7 @@ func TestBuyStorePersistFailure503(t *testing.T) {
 
 	ts := httptest.NewServer(New(b).Mux())
 	defer ts.Close()
-	menu, err := b.PriceErrorCurve(markettest.Model)
+	menu, err := b.PriceErrorCurve(markettest.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +149,17 @@ func TestHealthzReflectsStoreFailure(t *testing.T) {
 
 	ts := httptest.NewServer(New(b, WithHealthCheck("store", d.Healthy)).Mux())
 	defer ts.Close()
-	menu, err := b.PriceErrorCurve(markettest.Model)
+	menu, err := b.PriceErrorCurve(markettest.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 		t.Fatal(err)
 	}
 	torn = true
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("torn sale returned %v", err)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

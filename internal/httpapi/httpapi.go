@@ -15,18 +15,24 @@
 //	GET  /ledger                       — transactions and revenue split
 //	GET  /sellers                      — attribution stakes and per-seller revenue
 //
+// Each route is a thin adapter over one market.Broker method: /curve
+// is PriceErrorCurve, /quote is Quote, /buy builds a market.Spec for
+// Buy, and /ledger and /sellers read Revenue. ExchangeServer serves
+// the same routes per listing under /l/{listing}/..., resolving the
+// listing with market.Exchange.Broker; an unknown listing is 404.
+//
 // Every route runs inside a server span (continuing any inbound W3C
 // traceparent), so a purchase shows up at /debug/traces as a span tree
 // covering pricing, noise injection and the ledger append.
 //
-// /buy is idempotent when the client sends an Idempotency-Key header:
-// a retry with the same key returns the original sale (same seq, same
-// weights, one ledger row) with Idempotency-Replayed: true, so clients
-// may retry 5xx responses without risking a double charge. Request
-// bodies are bounded, non-finite numbers are rejected at the boundary,
-// and the resilience options in resilience.go add server-side
-// deadlines, admission control and fault injection; see
-// docs/resilience.md.
+// /buy is idempotent when the client sends an Idempotency-Key header
+// (it becomes Spec.Key): a retry with the same key returns the original
+// sale (same seq, same weights, one ledger row) with
+// Idempotency-Replayed: true, so clients may retry 5xx responses
+// without risking a double charge. Request bodies are bounded,
+// non-finite numbers are rejected at the boundary, and the resilience
+// options in resilience.go add server-side deadlines, admission control
+// and fault injection; see docs/resilience.md.
 //
 // cmd/mbpmarket wraps this package in a binary; tests drive it through
 // net/http/httptest.
@@ -144,7 +150,7 @@ func (s *Server) curve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An optional epsilon query parameter selects the error scale.
-	menu, err := s.broker.PriceErrorCurveFor(m, r.URL.Query().Get("epsilon"))
+	menu, err := s.broker.PriceErrorCurve(m, r.URL.Query().Get("epsilon"))
 	if err != nil {
 		s.writeErr(r, w, statusFor(err), err)
 		return
@@ -198,7 +204,7 @@ func (s *Server) quote(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(r, w, http.StatusBadRequest, errors.New("delta must be finite"))
 		return
 	}
-	price, expErr, err := s.broker.QuoteContext(r.Context(), m, delta)
+	price, expErr, err := s.broker.Quote(r.Context(), m, delta)
 	if err != nil {
 		s.writeErr(r, w, statusFor(err), err)
 		return
@@ -260,12 +266,14 @@ func (s *Server) buy(w http.ResponseWriter, r *http.Request) {
 	}
 	options := []struct {
 		name string
+		kind market.Kind
 		v    *float64
 	}{
-		{"delta", req.Delta},
-		{"errorBudget", req.ErrorBudget},
-		{"priceBudget", req.PriceBudget},
+		{"delta", market.AtPoint, req.Delta},
+		{"errorBudget", market.ErrorBudget, req.ErrorBudget},
+		{"priceBudget", market.PriceBudget, req.PriceBudget},
 	}
+	spec := market.Spec{Epsilon: req.Epsilon, Key: r.Header.Get("Idempotency-Key")}
 	set := 0
 	for _, o := range options {
 		if o.v == nil {
@@ -279,22 +287,13 @@ func (s *Server) buy(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(r, w, http.StatusBadRequest, fmt.Errorf("%s must be finite", o.name))
 			return
 		}
+		spec.Kind, spec.Value = o.kind, *o.v
 	}
 	if set != 1 {
 		s.writeErr(r, w, http.StatusBadRequest, errors.New("set exactly one of delta, errorBudget, priceBudget"))
 		return
 	}
-	buy := func(ctx context.Context) (*market.Purchase, error) {
-		switch {
-		case req.Delta != nil:
-			return s.broker.BuyAtPointContext(ctx, m, *req.Delta)
-		case req.ErrorBudget != nil:
-			return s.broker.BuyWithErrorBudgetForContext(ctx, m, req.Epsilon, *req.ErrorBudget)
-		default:
-			return s.broker.BuyWithPriceBudgetContext(ctx, m, *req.PriceBudget)
-		}
-	}
-	p, replayed, err := s.broker.BuyIdempotent(r.Context(), r.Header.Get("Idempotency-Key"), buy)
+	p, replayed, err := s.broker.Buy(r.Context(), m, spec)
 	if err != nil {
 		// A follower refuses writes; tell the client where the leader is
 		// so it can redirect instead of guessing.
@@ -322,9 +321,8 @@ func (s *Server) buy(w http.ResponseWriter, r *http.Request) {
 }
 
 // LedgerResponse reports completed transactions and the revenue split.
-// Sellers breaks the aggregate sellerShare down per seller id (see
-// market.Broker.RevenueSplits); the two views agree — Σ sellers ==
-// sellerShare up to float formatting of independently-summed totals.
+// Sellers breaks the aggregate sellerShare down per seller id;
+// sellerShare is their sum (see market.RevenueTotals).
 type LedgerResponse struct {
 	Transactions []market.Transaction `json:"transactions"`
 	SellerShare  float64              `json:"sellerShare"`
@@ -333,12 +331,12 @@ type LedgerResponse struct {
 }
 
 func (s *Server) ledger(w http.ResponseWriter, r *http.Request) {
-	seller, broker := s.broker.RevenueSplit()
+	rev := s.broker.Revenue()
 	s.writeJSON(r, w, http.StatusOK, LedgerResponse{
 		Transactions: s.broker.Ledger(),
-		SellerShare:  seller,
-		BrokerShare:  broker,
-		Sellers:      s.broker.RevenueSplits(),
+		SellerShare:  rev.SellerShare,
+		BrokerShare:  rev.BrokerShare,
+		Sellers:      rev.Sellers,
 	})
 }
 
@@ -362,12 +360,12 @@ type SellersResponse struct {
 }
 
 func (s *Server) sellers(w http.ResponseWriter, r *http.Request) {
-	_, broker := s.broker.RevenueSplit()
+	rev := s.broker.Revenue()
 	rep := s.broker.AttributionTotals()
 	s.writeJSON(r, w, http.StatusOK, SellersResponse{
 		Stakes:          s.broker.SellerStakes(),
-		Revenue:         s.broker.RevenueSplits(),
-		BrokerShare:     broker,
+		Revenue:         rev.Sellers,
+		BrokerShare:     rev.BrokerShare,
 		ExactViolations: rep.ExactViolations,
 		ResumMismatches: rep.ResumMismatches,
 	})
@@ -395,7 +393,8 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, market.ErrUnknownModel):
 		return http.StatusNotFound
-	case errors.Is(err, market.ErrUnknownEpsilon):
+	case errors.Is(err, market.ErrUnknownEpsilon),
+		errors.Is(err, market.ErrInvalidSpec):
 		return http.StatusBadRequest
 	case errors.Is(err, market.ErrBudgetTooSmall),
 		errors.Is(err, market.ErrErrorBudgetTooTight):

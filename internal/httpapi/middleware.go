@@ -26,11 +26,9 @@ type config struct {
 	logger  *slog.Logger
 
 	// Resilience knobs; see resilience.go for the options.
-	timeout    time.Duration             // server-side default request deadline
-	limiter    *resilience.Limiter       // admission control, nil = unlimited
-	chaos      *resilience.Chaos         // fault injection, nil = off
-	hopBreaker *resilience.BreakerConfig // exchange→broker circuit breaker
-	hopRetry   *resilience.Retry         // exchange→broker retry policy
+	timeout time.Duration       // server-side default request deadline
+	limiter *resilience.Limiter // admission control, nil = unlimited
+	chaos   *resilience.Chaos   // fault injection, nil = off
 
 	// Durability wiring; see health.go.
 	health []healthCheck // readiness probes folded into /healthz

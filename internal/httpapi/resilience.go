@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/datamarket/mbp/internal/obs"
@@ -41,22 +39,6 @@ func WithAdmission(maxInflight int, queueWait time.Duration) Option {
 // makes idempotency keys necessary). A nil c is a no-op.
 func WithChaos(ch *resilience.Chaos) Option {
 	return func(c *config) { c.chaos = ch }
-}
-
-// WithHopBreaker guards the exchange→broker hop with a circuit
-// breaker: sustained hop failures trip it open and /l/{listing}/*
-// requests fail fast with 503 until a cooldown probe succeeds. The
-// breaker's state is exported as the gauge
-// resilience.breaker_state{name=exchange_hop} (0 closed, 1 half-open,
-// 2 open). Only ExchangeServer uses it.
-func WithHopBreaker(bc resilience.BreakerConfig) Option {
-	return func(c *config) { c.hopBreaker = &bc }
-}
-
-// WithHopRetry sets the retry policy for the exchange→broker hop
-// (default DefaultRetry). Only ExchangeServer uses it.
-func WithHopRetry(p resilience.Retry) Option {
-	return func(c *config) { c.hopRetry = &p }
 }
 
 // resilient stacks the request-resilience middleware around next,
@@ -177,14 +159,4 @@ func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
 	}
 	w.WriteHeader(status)
 	w.Write(b.body.Bytes())
-}
-
-// retryAfterSeconds renders d for a Retry-After header, rounding up so
-// clients never come back early; the floor is one second.
-func retryAfterSeconds(d time.Duration) string {
-	s := int(math.Ceil(d.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }

@@ -370,16 +370,50 @@ func (b *Broker) founderID() string {
 	return "seller"
 }
 
-// RevenueSplits returns each seller's cumulative attributed revenue.
-// Rows recorded before attribution existed (a v1 WAL) carry no table;
-// their gross is attributed to the broker's original seller at the
-// commission split, so totals remain comparable across an upgrade.
-func (b *Broker) RevenueSplits() map[string]float64 {
-	bySeller, _, legacy := b.ledger.splitTotals()
+// RevenueTotals is the cumulative revenue split of a broker or an
+// exchange: what every seller was attributed, their sum, and the
+// broker's commission. Together SellerShare + BrokerShare equals the
+// ledger's gross up to float rounding.
+type RevenueTotals struct {
+	// Sellers is each seller's cumulative attributed revenue.
+	Sellers map[string]float64
+	// SellerShare is Σ Sellers, summed in sorted seller-id order so map
+	// iteration order never leaks into the figure (the workload rig
+	// compares economic totals bit-for-bit across runs).
+	SellerShare float64
+	// BrokerShare is the cumulative commission.
+	BrokerShare float64
+}
+
+// newRevenueTotals fills in SellerShare from the per-seller totals.
+func newRevenueTotals(bySeller map[string]float64, broker float64) RevenueTotals {
+	ids := make([]string, 0, len(bySeller))
+	for id := range bySeller {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var sum float64
+	for _, id := range ids {
+		sum += bySeller[id]
+	}
+	return RevenueTotals{Sellers: bySeller, SellerShare: sum, BrokerShare: broker}
+}
+
+// Revenue reports the cumulative revenue split, read from the running
+// stripe totals the sale path accumulates — O(sellers) per stripe, no
+// snapshot build — so /metrics and listing polls stay cheap under live
+// traffic; the background auditor cross-checks it against the rows
+// continuously. Rows recorded before attribution existed (a v1 WAL)
+// carry no table; their gross is booked to the broker's founding
+// seller at the commission split, so totals remain comparable across
+// an upgrade.
+func (b *Broker) Revenue() RevenueTotals {
+	bySeller, broker, legacy := b.ledger.splitTotals()
 	if legacy != 0 {
 		bySeller[b.founderID()] += legacy * (1 - b.commission)
+		broker += legacy * b.commission
 	}
-	return bySeller
+	return newRevenueTotals(bySeller, broker)
 }
 
 // AttributionReport is the auditor's view of the attribution ledger: the

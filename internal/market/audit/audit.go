@@ -7,7 +7,7 @@
 //     monotone non-decreasing and subadditive over x = 1/δ, and the
 //     exact attack search (internal/arbitrage.FindAttack) must come up
 //     empty at a random target each sweep.
-//   - conservation: the RevenueSplit shares must sum to the ledger
+//   - conservation: the Revenue shares must sum to the ledger
 //     gross, and the two independently maintained gross aggregates
 //     (row re-sum vs. running stripe totals) must agree.
 //   - wal: the durability engine must be keeping up — no persist
@@ -361,7 +361,7 @@ func (a *Auditor) sweepArbitrage(r *rng.RNG, record func(check, detail string, o
 // sweepConservation cross-checks the revenue aggregates. LedgerTotals
 // reads each stripe's row re-sum and its running total under the same
 // lock, so that pair is comparable even while sales land mid-call and
-// the stripe-vs-resum check is always exact. The RevenueSplit shares
+// the stripe-vs-resum check is always exact. The Revenue shares
 // are read in a separate call, so their check against the re-summed
 // gross runs only when the row count held still across the reads.
 //
@@ -393,7 +393,8 @@ func (a *Auditor) sweepConservation(now time.Time, record func(check, detail str
 		return
 	}
 
-	seller, broker := b.RevenueSplit()
+	rev := b.Revenue()
+	seller, broker := rev.SellerShare, rev.BrokerShare
 	rows2, gross2, _ := b.LedgerTotals()
 	if rows1 != rows2 {
 		record(CheckConservation, fmt.Sprintf(

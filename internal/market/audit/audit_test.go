@@ -1,10 +1,12 @@
 package audit
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/obs"
 )
@@ -12,10 +14,10 @@ import (
 func newAuditor(t *testing.T, mutate func(*Config)) (*Auditor, *obs.Registry) {
 	t.Helper()
 	b := markettest.Broker(t, 42)
-	if _, err := b.BuyAtPoint(markettest.Model, 0.1); err != nil {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.BuyWithPriceBudget(markettest.Model, 50); err != nil {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.PriceBudget, Value: 50}); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()

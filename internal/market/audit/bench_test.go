@@ -1,12 +1,14 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"testing"
 	"time"
 
+	"github.com/datamarket/mbp/internal/market"
 	"github.com/datamarket/mbp/internal/market/markettest"
 	"github.com/datamarket/mbp/internal/obs"
 )
@@ -23,13 +25,13 @@ func BenchmarkSweep(b *testing.B) {
 	for _, rows := range []int{0, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			br := markettest.Broker(b, 1)
-			menu, err := br.PriceErrorCurve(markettest.Model)
+			menu, err := br.PriceErrorCurve(markettest.Model, "")
 			if err != nil {
 				b.Fatal(err)
 			}
 			delta := menu[len(menu)/2].Delta
 			for i := 0; i < rows; i++ {
-				if _, err := br.BuyAtPoint(markettest.Model, delta); err != nil {
+				if _, _, err := br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@ package market_test
 // -throughput runs the same fixture and emits BENCH_throughput.json.
 
 import (
+	"context"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/market"
@@ -27,7 +28,7 @@ func BenchmarkBrokerSerialBuy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := br.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, _, err := br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +40,7 @@ func BenchmarkBrokerParallelBuy(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := br.BuyAtPoint(markettest.Model, delta); err != nil {
+			if _, _, err := br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 				b.Error(err)
 				return
 			}
@@ -52,7 +53,7 @@ func BenchmarkBrokerSerialQuote(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := br.Quote(markettest.Model, delta); err != nil {
+		if _, _, err := br.Quote(context.Background(), markettest.Model, delta); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +65,7 @@ func BenchmarkBrokerParallelQuote(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := br.Quote(markettest.Model, delta); err != nil {
+			if _, _, err := br.Quote(context.Background(), markettest.Model, delta); err != nil {
 				b.Error(err)
 				return
 			}
@@ -86,15 +87,15 @@ func BenchmarkBrokerParallelMixed(b *testing.B) {
 			var err error
 			switch i % 5 {
 			case 0:
-				_, err = br.BuyAtPoint(markettest.Model, delta)
+				_, _, err = br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 			case 1:
-				_, _, err = br.Quote(markettest.Model, delta)
+				_, _, err = br.Quote(context.Background(), markettest.Model, delta)
 			case 2:
-				_, err = br.BuyWithErrorBudget(markettest.Model, cheapest.ExpectedError)
+				_, _, err = br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.ErrorBudget, Value: cheapest.ExpectedError})
 			case 3:
-				_, err = br.BuyWithPriceBudget(markettest.Model, best.Price)
+				_, _, err = br.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.PriceBudget, Value: best.Price})
 			default:
-				_, err = br.PriceErrorCurveFor(markettest.Model, "")
+				_, err = br.PriceErrorCurve(markettest.Model, "")
 			}
 			if err != nil {
 				b.Error(err)

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // and the atomic metrics underneath.
 func TestBrokerConcurrentBuysAndQuotes(t *testing.T) {
 	b := testBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,17 +34,17 @@ func TestBrokerConcurrentBuysAndQuotes(t *testing.T) {
 				var err error
 				switch (w + i) % 3 {
 				case 0:
-					_, err = b.BuyAtPoint(ml.LinearRegression, cheap.Delta)
+					_, _, err = b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: cheap.Delta})
 				case 1:
-					_, err = b.BuyWithErrorBudget(ml.LinearRegression, cheap.ExpectedError)
+					_, _, err = b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: ErrorBudget, Value: cheap.ExpectedError})
 				default:
-					_, err = b.BuyWithPriceBudget(ml.LinearRegression, best.Price)
+					_, _, err = b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: PriceBudget, Value: best.Price})
 				}
 				if err != nil {
 					errs <- err
 					continue
 				}
-				if _, _, err := b.Quote(ml.LinearRegression, best.Delta); err != nil {
+				if _, _, err := b.Quote(context.Background(), ml.LinearRegression, best.Delta); err != nil {
 					errs <- err
 				}
 			}
@@ -71,7 +72,8 @@ func TestBrokerConcurrentBuysAndQuotes(t *testing.T) {
 		}
 		total += tx.Price
 	}
-	seller, broker := b.RevenueSplit()
+	rev := b.Revenue()
+	seller, broker := rev.SellerShare, rev.BrokerShare
 	if diff := total - seller - broker; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("revenue split %v+%v does not match ledger total %v", seller, broker, total)
 	}
@@ -87,7 +89,7 @@ func TestExchangeConcurrentLookups(t *testing.T) {
 	if err := ex.List("b", testBroker(t)); err != nil {
 		t.Fatal(err)
 	}
-	menu, err := mustBrokerOf(t, ex, "a").PriceErrorCurve(ml.LinearRegression)
+	menu, err := mustBrokerOf(t, ex, "a").PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +105,12 @@ func TestExchangeConcurrentLookups(t *testing.T) {
 				name = "b"
 			}
 			for i := 0; i < 10; i++ {
-				b, err := ex.Broker(name)
+				b, err := ex.Broker(context.Background(), name)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := b.BuyAtPoint(ml.LinearRegression, delta); err != nil {
+				if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -126,7 +128,7 @@ func TestExchangeConcurrentLookups(t *testing.T) {
 
 func mustBrokerOf(t *testing.T, ex *Exchange, name string) *Broker {
 	t.Helper()
-	b, err := ex.Broker(name)
+	b, err := ex.Broker(context.Background(), name)
 	if err != nil {
 		t.Fatal(err)
 	}

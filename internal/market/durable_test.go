@@ -67,12 +67,13 @@ func TestDurableLedgerRoundTrip(t *testing.T) {
 	}
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 5; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[i%len(menu)].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := b.Ledger()
-	wantSeller, wantBroker := b.RevenueSplit()
+	rev := b.Revenue()
+	wantSeller, wantBroker := rev.SellerShare, rev.BrokerShare
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +91,14 @@ func TestDurableLedgerRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: recovered %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	gotSeller, gotBroker := b2.RevenueSplit()
+	rev = b2.Revenue()
+	gotSeller, gotBroker := rev.SellerShare, rev.BrokerShare
 	if math.Abs(gotSeller-wantSeller) > 1e-9 || math.Abs(gotBroker-wantBroker) > 1e-9 {
 		t.Fatalf("revenue split (%v, %v), want (%v, %v)", gotSeller, gotBroker, wantSeller, wantBroker)
 	}
 	// The sequence counter resumed: the next sale extends the ledger,
 	// it does not overwrite a recovered row.
-	p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, _, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +143,13 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 					// the purchase path and exercise seq giveback/skips.
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(1+r.Intn(40))*time.Microsecond)
-					b.BuyAtPointContext(ctx, markettest.Model, delta)
+					b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 					cancel()
 					continue
 				}
 				if r.Float64() < 0.3 {
 					key := fmt.Sprintf("key-%d-%d", g, i)
-					p, _, err := b.BuyIdempotent(ctx, key, func(ctx context.Context) (*market.Purchase, error) {
-						return b.BuyAtPointContext(ctx, markettest.Model, delta)
-					})
+					p, _, err := b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta, Key: key})
 					if err != nil {
 						t.Error(err)
 						return
@@ -159,7 +159,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 					mu.Unlock()
 					continue
 				}
-				if _, err := b.BuyAtPointContext(ctx, markettest.Model, delta); err != nil {
+				if _, _, err := b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -209,7 +209,8 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 	for _, tx := range got {
 		gross += tx.Price
 	}
-	seller, broker := b2.RevenueSplit()
+	rev := b2.Revenue()
+	seller, broker := rev.SellerShare, rev.BrokerShare
 	if math.Abs((seller+broker)-gross) > 1e-9*(1+gross) {
 		t.Fatalf("revenue split %v+%v != replayed sum %v", seller, broker, gross)
 	}
@@ -225,9 +226,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 		if !seen[k.p.Seq] {
 			continue // that sale didn't reach the disk before the crash
 		}
-		p, replayed, err := b2.BuyIdempotent(context.Background(), k.key, func(ctx context.Context) (*market.Purchase, error) {
-			return b2.BuyAtPointContext(ctx, markettest.Model, k.p.Delta)
-		})
+		p, replayed, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: k.p.Delta, Key: k.key})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,11 +291,11 @@ func TestDurableSkipJournaled(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := b.BuyAtPointContext(ctxA, markettest.Model, menu[0].Delta)
+		_, _, err := b.Buy(ctxA, markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta})
 		errc <- err
 	}()
 	<-mech.entered // sale 1 parked inside the noise draw
-	if _, err := b.BuyAtPoint(markettest.Model, menu[1].Delta); err != nil {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[1].Delta}); err != nil {
 		t.Fatal(err) // sale 2 completes, claiming seq 2
 	}
 	cancelA()
@@ -328,9 +327,7 @@ func TestDurableIdempotentReplayExpiresWithTTL(t *testing.T) {
 	// Stamp the sale's wall clock beyond the replay TTL: the journal
 	// entry is intact but too old to honor after restart.
 	b.SetClock(func() time.Time { return time.Now().Add(-2 * market.ReplayTTL) })
-	p1, _, err := b.BuyIdempotent(context.Background(), "stale-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b.BuyAtPointContext(ctx, markettest.Model, menu[0].Delta)
-	})
+	p1, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta, Key: "stale-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +339,7 @@ func TestDurableIdempotentReplayExpiresWithTTL(t *testing.T) {
 	if rs.Replays != 1 {
 		t.Fatalf("journal kept %d replay entries, want 1", rs.Replays)
 	}
-	p2, replayed, err := b2.BuyIdempotent(context.Background(), "stale-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b2.BuyAtPointContext(ctx, markettest.Model, menu[0].Delta)
-	})
+	p2, replayed, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta, Key: "stale-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +356,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +388,7 @@ func TestDurableTornTailRecoversPrefix(t *testing.T) {
 	if rs.MaxSeq != 2 || len(rs.Lost) != 0 {
 		t.Fatalf("recovered accounting %+v, want max seq 2 with nothing lost", rs)
 	}
-	p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, _, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +402,7 @@ func TestDurableMidLogCorruptionRefusesToOpen(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -433,14 +428,12 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 	b, d, _ := durableBroker(t, dir, store.Options{})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 4; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One idempotent sale whose entry must survive compaction.
-	pk, _, err := b.BuyIdempotent(context.Background(), "compacted-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b.BuyAtPointContext(ctx, markettest.Model, menu[1].Delta)
-	})
+	pk, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[1].Delta, Key: "compacted-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +441,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[2].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[2].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,9 +463,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 			t.Fatalf("row %d diverged after compaction: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	p, replayed, err := b2.BuyIdempotent(context.Background(), "compacted-key", func(ctx context.Context) (*market.Purchase, error) {
-		return b2.BuyAtPointContext(ctx, markettest.Model, menu[1].Delta)
-	})
+	p, replayed, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[1].Delta, Key: "compacted-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,16 +483,16 @@ func TestDurableChaosTornWriteRecovery(t *testing.T) {
 	b, _, _ := durableBroker(t, dir, store.Options{Faults: chaos.StoreFaults()})
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	chaos.Update(resilience.ChaosConfig{TornProb: 1})
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("torn sale returned %v, want ErrSaleNotRecorded", err)
 	}
 	// The simulated crash took the journal down: further sales refuse.
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); !errors.Is(err, market.ErrSaleNotRecorded) {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("post-crash sale returned %v, want ErrSaleNotRecorded", err)
 	}
 	want := b.Ledger()
@@ -524,7 +515,7 @@ func TestDurableChaosTornWriteRecovery(t *testing.T) {
 			t.Fatalf("row %d diverged: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if p, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil || p.Seq != 4 {
+	if p, _, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil || p.Seq != 4 {
 		t.Fatalf("post-recovery sale (%v, %v), want seq 4", p, err)
 	}
 }
@@ -541,19 +532,19 @@ func TestDurablePersistFailureAbortsSale(t *testing.T) {
 	}}
 	b, d, _ := durableBroker(t, dir, store.Options{Faults: faults})
 	menu := markettest.Menu(t, b)
-	if _, err := b.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 		t.Fatal(err)
 	}
 	failing = true
-	_, err := b.BuyAtPoint(markettest.Model, menu[0].Delta)
+	_, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta})
 	if !errors.Is(err, market.ErrSaleNotRecorded) {
 		t.Fatalf("unjournaled sale returned %v, want ErrSaleNotRecorded", err)
 	}
 	if txs := b.Ledger(); len(txs) != 1 {
 		t.Fatalf("aborted sale left %d ledger rows, want 1", len(txs))
 	}
-	if s, br := b.RevenueSplit(); math.Abs(s+br-menu[0].Price) > 1e-9 {
-		t.Fatalf("aborted sale charged the buyer: split %v+%v", s, br)
+	if rev := b.Revenue(); math.Abs(rev.SellerShare+rev.BrokerShare-menu[0].Price) > 1e-9 {
+		t.Fatalf("aborted sale charged the buyer: split %v+%v", rev.SellerShare, rev.BrokerShare)
 	}
 	// A clean write failure is not a store failure: once the disk
 	// recovers, sales proceed and the seq handed back was reused.
@@ -561,7 +552,7 @@ func TestDurablePersistFailureAbortsSale(t *testing.T) {
 	if err := d.Healthy(); err != nil {
 		t.Fatalf("clean journal failure latched the store: %v", err)
 	}
-	p, err := b.BuyAtPoint(markettest.Model, menu[0].Delta)
+	p, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -55,11 +56,11 @@ func TestEpsilonsListing(t *testing.T) {
 
 func TestPriceErrorCurveFor(t *testing.T) {
 	b := multiEpsBroker(t)
-	logisticMenu, err := b.PriceErrorCurveFor(ml.LogisticRegression, "logistic")
+	logisticMenu, err := b.PriceErrorCurve(ml.LogisticRegression, "logistic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroOneMenu, err := b.PriceErrorCurveFor(ml.LogisticRegression, "zero-one")
+	zeroOneMenu, err := b.PriceErrorCurve(ml.LogisticRegression, "zero-one")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,27 +79,27 @@ func TestPriceErrorCurveFor(t *testing.T) {
 		}
 	}
 	// Default (empty) name resolves to the default ϵ.
-	def, err := b.PriceErrorCurveFor(ml.LogisticRegression, "")
+	def, err := b.PriceErrorCurve(ml.LogisticRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def[0].ExpectedError != logisticMenu[0].ExpectedError {
 		t.Fatal("empty name did not resolve to default")
 	}
-	if _, err := b.PriceErrorCurveFor(ml.LogisticRegression, "nope"); !errors.Is(err, ErrUnknownEpsilon) {
+	if _, err := b.PriceErrorCurve(ml.LogisticRegression, "nope"); !errors.Is(err, ErrUnknownEpsilon) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestBuyWithErrorBudgetFor(t *testing.T) {
 	b := multiEpsBroker(t)
-	menu, err := b.PriceErrorCurveFor(ml.LogisticRegression, "zero-one")
+	menu, err := b.PriceErrorCurve(ml.LogisticRegression, "zero-one")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A budget halfway down the 0/1 scale.
 	budget := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "zero-one", budget)
+	p, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: ErrorBudget, Value: budget, Epsilon: "zero-one"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +113,10 @@ func TestBuyWithErrorBudgetFor(t *testing.T) {
 		}
 	}
 	// Unknown ϵ and impossible budget.
-	if _, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "nope", 0.5); !errors.Is(err, ErrUnknownEpsilon) {
+	if _, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: ErrorBudget, Value: 0.5, Epsilon: "nope"}); !errors.Is(err, ErrUnknownEpsilon) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := b.BuyWithErrorBudgetFor(ml.LogisticRegression, "zero-one", menu[len(menu)-1].ExpectedError/10); !errors.Is(err, ErrErrorBudgetTooTight) {
+	if _, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: ErrorBudget, Value: menu[len(menu)-1].ExpectedError / 10, Epsilon: "zero-one"}); !errors.Is(err, ErrErrorBudgetTooTight) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -187,8 +188,8 @@ func TestMultiEpsilonSnapshotRoundTrip(t *testing.T) {
 	if len(names) != 2 || names[1] != "zero-one" {
 		t.Fatalf("restored epsilons %v", names)
 	}
-	m1, _ := b.PriceErrorCurveFor(ml.LogisticRegression, "zero-one")
-	m2, _ := b2.PriceErrorCurveFor(ml.LogisticRegression, "zero-one")
+	m1, _ := b.PriceErrorCurve(ml.LogisticRegression, "zero-one")
+	m2, _ := b2.PriceErrorCurve(ml.LogisticRegression, "zero-one")
 	for i := range m1 {
 		if m1[i] != m2[i] {
 			t.Fatalf("restored 0/1 menu differs at %d", i)

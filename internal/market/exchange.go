@@ -59,17 +59,12 @@ func (e *Exchange) Delist(name string) error {
 	return nil
 }
 
-// Broker returns the broker behind a listing. Each successful
-// resolution counts toward the listing's lookup metric, so /metrics
-// shows per-listing traffic on a multi-seller exchange.
-func (e *Exchange) Broker(name string) (*Broker, error) {
-	return e.BrokerContext(context.Background(), name)
-}
-
-// BrokerContext is Broker with the per-listing dispatch recorded as an
-// "exchange.resolve_listing" span, so a multi-seller trace shows which
-// listing the request routed to and what the lookup cost.
-func (e *Exchange) BrokerContext(ctx context.Context, name string) (*Broker, error) {
+// Broker returns the broker behind a listing, recording the dispatch
+// as an "exchange.resolve_listing" span so a multi-seller trace shows
+// which listing the request routed to. Each successful resolution
+// counts toward the listing's lookup metric, so /metrics shows
+// per-listing traffic on a multi-seller exchange.
+func (e *Exchange) Broker(ctx context.Context, name string) (*Broker, error) {
 	_, span := trace.Start(ctx, "exchange.resolve_listing", "listing", name)
 	defer span.End()
 	e.mu.RLock()
@@ -87,6 +82,10 @@ func (e *Exchange) BrokerContext(ctx context.Context, name string) (*Broker, err
 func (e *Exchange) Listings() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.listingsLocked()
+}
+
+func (e *Exchange) listingsLocked() []string {
 	out := make([]string, 0, len(e.listings))
 	for name := range e.listings {
 		out = append(out, name)
@@ -95,40 +94,24 @@ func (e *Exchange) Listings() []string {
 	return out
 }
 
-// TotalRevenue aggregates seller and broker shares across all listings.
-func (e *Exchange) TotalRevenue() (sellerShare, brokerShare float64) {
+// Revenue aggregates every listing's Broker.Revenue: a seller staked on
+// several listings accumulates across them under one id, and the
+// commissions add up in sorted listing order.
+func (e *Exchange) Revenue() RevenueTotals {
 	e.mu.RLock()
 	brokers := make([]*Broker, 0, len(e.listings))
-	for _, b := range e.listings {
-		brokers = append(brokers, b)
+	for _, name := range e.listingsLocked() {
+		brokers = append(brokers, e.listings[name])
 	}
 	e.mu.RUnlock()
+	bySeller := make(map[string]float64)
+	var broker float64
 	for _, b := range brokers {
-		s, br := b.RevenueSplit()
-		sellerShare += s
-		brokerShare += br
-	}
-	return sellerShare, brokerShare
-}
-
-// RevenueBySeller aggregates per-seller attributed revenue across all
-// listings (see Broker.RevenueSplits), plus the brokers' total
-// commission. Sellers staked on several listings accumulate across
-// them under one id.
-func (e *Exchange) RevenueBySeller() (bySeller map[string]float64, brokerShare float64) {
-	e.mu.RLock()
-	brokers := make([]*Broker, 0, len(e.listings))
-	for _, b := range e.listings {
-		brokers = append(brokers, b)
-	}
-	e.mu.RUnlock()
-	bySeller = make(map[string]float64)
-	for _, b := range brokers {
-		for id, amt := range b.RevenueSplits() {
+		rev := b.Revenue()
+		for id, amt := range rev.Sellers {
 			bySeller[id] += amt
 		}
-		_, br := b.RevenueSplit()
-		brokerShare += br
+		broker += rev.BrokerShare
 	}
-	return bySeller, brokerShare
+	return newRevenueTotals(bySeller, broker)
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/ml"
@@ -54,7 +55,7 @@ func TestAddModelFromErrorResearch(t *testing.T) {
 	if err := c.Certify(); err != nil {
 		t.Fatalf("Fig. 2 curve not arbitrage-free: %v", err)
 	}
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestAddModelFromErrorResearch(t *testing.T) {
 		t.Fatalf("menu rows %d", len(menu))
 	}
 	// A buyer with the mid valuation can afford the mid version.
-	p, err := b.BuyWithErrorBudget(ml.LinearRegression, errs[len(errs)/2])
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: ErrorBudget, Value: errs[len(errs)/2]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ package market
 //
 // The acknowledgement barrier is how quorum mode attaches to the sale
 // path without the broker knowing anything about replication: the
-// replica layer installs a wait function, and BuyIdempotent blocks on
+// replica layer installs a wait function, and Buy blocks on
 // it after the journal accepted the sale. On a barrier timeout the
 // sale stands — journaled, shipping, replay-cached — and the buyer
 // gets a retryable error whose retry replays the original Seq.

@@ -2,6 +2,7 @@ package market
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -155,12 +156,12 @@ func TestLedgerViewConcurrentWritersReaders(t *testing.T) {
 // plus the total, clamped past the end, and returns a copy.
 func TestLedgerFromMatchesLedgerSuffix(t *testing.T) {
 	b := testBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if _, err := b.BuyAtPoint(ml.LinearRegression, menu[i%len(menu)].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: menu[i%len(menu)].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,12 +231,12 @@ func TestStampMonotonicLogicalClock(t *testing.T) {
 	b := testBroker(t)
 	fixed := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	b.SetClock(func() time.Time { return fixed })
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(ml.LinearRegression, menu[0].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: menu[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}

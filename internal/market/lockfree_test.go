@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -47,7 +48,7 @@ func classificationBroker(t testing.TB) *Broker {
 // refactor each of these calls deadlocked here.
 func TestHotPathLockFreeUnderMu(t *testing.T) {
 	b := testBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestHotPathLockFreeUnderMu(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 50; i++ {
-			if _, _, err := b.Quote(ml.LinearRegression, delta); err != nil {
+			if _, _, err := b.Quote(context.Background(), ml.LinearRegression, delta); err != nil {
 				done <- err
 				return
 			}
-			if _, err := b.PriceErrorCurveFor(ml.LinearRegression, ""); err != nil {
+			if _, err := b.PriceErrorCurve(ml.LinearRegression, ""); err != nil {
 				done <- err
 				return
 			}
@@ -74,12 +75,12 @@ func TestHotPathLockFreeUnderMu(t *testing.T) {
 				done <- errors.New("Models() lost the offer")
 				return
 			}
-			if _, err := b.BuyAtPoint(ml.LinearRegression, delta); err != nil {
+			if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta}); err != nil {
 				done <- err
 				return
 			}
 			_ = b.Ledger()
-			_, _ = b.RevenueSplit()
+			_ = b.Revenue()
 		}
 		done <- nil
 	}()
@@ -105,7 +106,7 @@ func TestHotPathLockFreeUnderMu(t *testing.T) {
 // must conserve the ledger total.
 func TestBrokerStressMixedOps(t *testing.T) {
 	b := classificationBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LogisticRegression)
+	menu, err := b.PriceErrorCurve(ml.LogisticRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,26 +141,26 @@ func TestBrokerStressMixedOps(t *testing.T) {
 						errs <- errors.New("duplicate AddModel accepted")
 					}
 				case 1:
-					if _, _, err := b.Quote(ml.LogisticRegression, best.Delta); err != nil {
+					if _, _, err := b.Quote(context.Background(), ml.LogisticRegression, best.Delta); err != nil {
 						errs <- err
 					}
 				case 2:
 					_ = b.Ledger()
-					_, _ = b.RevenueSplit()
+					_ = b.Revenue()
 				case 3:
-					if _, err := b.BuyWithErrorBudget(ml.LogisticRegression, cheapest.ExpectedError); err != nil {
+					if _, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: ErrorBudget, Value: cheapest.ExpectedError}); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
 					}
 				case 4:
-					if _, err := b.BuyWithPriceBudget(ml.LogisticRegression, best.Price); err != nil {
+					if _, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: PriceBudget, Value: best.Price}); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
 					}
 				default:
-					if _, err := b.BuyAtPoint(ml.LogisticRegression, cheapest.Delta); err != nil {
+					if _, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: AtPoint, Value: cheapest.Delta}); err != nil {
 						errs <- err
 					} else {
 						sales.Add(1)
@@ -189,7 +190,8 @@ func TestBrokerStressMixedOps(t *testing.T) {
 		}
 		total += tx.Price
 	}
-	seller, broker := b.RevenueSplit()
+	rev := b.Revenue()
+	seller, broker := rev.SellerShare, rev.BrokerShare
 	if math.Abs(total-seller-broker) > 1e-9*(1+total) {
 		t.Fatalf("revenue split %v+%v does not conserve ledger total %v", seller, broker, total)
 	}
@@ -206,11 +208,11 @@ func TestSequentialPurchaseDeterminism(t *testing.T) {
 	a, b := testBroker(t), testBroker(t)
 	script := []float64{0.1, 0.05, 0.25, 0.1, 0.04, 0.1}
 	for step, delta := range script {
-		pa, err := a.BuyAtPoint(ml.LinearRegression, delta)
+		pa, _, err := a.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := b.BuyAtPoint(ml.LinearRegression, delta)
+		pb, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +236,13 @@ func TestSequentialPurchaseDeterminism(t *testing.T) {
 	if err := c.AddModel(ml.LinearRegression, AddModelOptions{MCSamples: 60}); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := a.BuyAtPoint(ml.LinearRegression, 0.1)
+	pa, _, err := a.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pc *Purchase
 	for i := 0; i < len(script)+1; i++ { // align sequence numbers
-		if pc, err = c.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+		if pc, _, err = c.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +272,7 @@ func TestParallelPurchasesPerStreamDeterministic(t *testing.T) {
 	serial := testBroker(t)
 	want := make(map[int][]float64, n)
 	for i := 0; i < n; i++ {
-		p, err := serial.BuyAtPoint(ml.LinearRegression, delta)
+		p, _, err := serial.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +289,7 @@ func TestParallelPurchasesPerStreamDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				p, err := parallel.BuyAtPoint(ml.LinearRegression, delta)
+				p, _, err := parallel.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: delta})
 				if err != nil {
 					errs <- err
 					return
@@ -327,7 +329,7 @@ func TestParallelPurchasesPerStreamDeterministic(t *testing.T) {
 // non-certified curve.
 func TestQuotesCertifiedUnderPublish(t *testing.T) {
 	b := classificationBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LogisticRegression)
+	menu, err := b.PriceErrorCurve(ml.LogisticRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +364,7 @@ func TestQuotesCertifiedUnderPublish(t *testing.T) {
 				default:
 				}
 				row := menu[(w+i)%len(menu)]
-				price, _, err := b.Quote(ml.LogisticRegression, row.Delta)
+				price, _, err := b.Quote(context.Background(), ml.LogisticRegression, row.Delta)
 				if err != nil {
 					errs <- err
 					return
@@ -372,7 +374,7 @@ func TestQuotesCertifiedUnderPublish(t *testing.T) {
 				mu.Unlock()
 				// Quote the in-flight model too: before the swap it must
 				// be unknown, after it must serve its own curve.
-				if price, _, err := b.Quote(ml.LinearSVM, row.Delta); err == nil {
+				if price, _, err := b.Quote(context.Background(), ml.LinearSVM, row.Delta); err == nil {
 					mu.Lock()
 					observed = append(observed, obs{ml.LinearSVM, row.Delta, price})
 					mu.Unlock()

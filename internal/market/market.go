@@ -124,8 +124,8 @@ func (o *offer) transformFor(epsName string) (*pricing.Transform, error) {
 // Broker mediates between a seller and buyers (Figure 1B). It charges
 // the seller a commission rate on every sale.
 //
-// The serving hot path — Quote, the Buy* options, and the menu readers
-// — is lock-free: published offers live in an immutable snapshot
+// The serving hot path — Quote, Buy, and the menu readers — is
+// lock-free: published offers live in an immutable snapshot
 // behind an atomic pointer, each sale draws its noise from an
 // independent seed-derived RNG stream (stream id = ledger sequence
 // number), and the ledger is sharded so concurrent appends contend
@@ -158,7 +158,7 @@ type Broker struct {
 	// SetClock).
 	logical atomic.Uint64
 	clock   func() time.Time
-	// replay is the idempotency cache behind BuyIdempotent: a client
+	// replay is the idempotency cache behind keyed Buys: a client
 	// retrying a purchase under the same key gets the original
 	// Purchase back (same Seq, same weights, same ledger row) instead
 	// of being charged twice.
@@ -496,10 +496,11 @@ func (b *Broker) Epsilons(m ml.Model) ([]string, error) {
 	return append(out, names...), nil
 }
 
-// PriceErrorCurveFor returns the buyer-facing menu measured under the
-// named error function (empty = the offer's default). Lock-free: the
-// menu comes off the immutable offer snapshot.
-func (b *Broker) PriceErrorCurveFor(m ml.Model, epsName string) ([]pricing.PriceError, error) {
+// PriceErrorCurve returns the buyer-facing menu of (δ, expected error,
+// price) rows for model m (Figure 1C, step 2), measured under the named
+// error function (empty = the offer's default). Lock-free: the menu
+// comes off the immutable offer snapshot.
+func (b *Broker) PriceErrorCurve(m ml.Model, epsName string) ([]pricing.PriceError, error) {
 	off, ok := b.lookup(m)
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
@@ -509,43 +510,6 @@ func (b *Broker) PriceErrorCurveFor(m ml.Model, epsName string) ([]pricing.Price
 		return nil, err
 	}
 	return pricing.PriceErrorCurve(off.curve, tr), nil
-}
-
-// BuyWithErrorBudgetFor executes option 2 against the named error
-// function's scale: cheapest version whose expected ϵ is at most
-// maxErr.
-func (b *Broker) BuyWithErrorBudgetFor(m ml.Model, epsName string, maxErr float64) (*Purchase, error) {
-	return b.BuyWithErrorBudgetForContext(context.Background(), m, epsName, maxErr)
-}
-
-// BuyWithErrorBudgetForContext is BuyWithErrorBudgetFor traced on the
-// caller's context (empty epsName selects the offer's default ϵ).
-func (b *Broker) BuyWithErrorBudgetForContext(ctx context.Context, m ml.Model, epsName string, maxErr float64) (*Purchase, error) {
-	ctx, span := trace.Start(ctx, "market.buy", "option", "error_budget", "model", m.String())
-	defer span.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	off, ok := b.lookup(m)
-	if !ok {
-		metRejected.Inc()
-		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
-	}
-	tr, err := off.transformFor(epsName)
-	if err != nil {
-		metRejected.Inc()
-		return nil, err
-	}
-	delta, err := tr.DeltaForError(maxErr)
-	if err != nil {
-		metRejected.Inc()
-		return nil, fmt.Errorf("%w (requested %v under ϵ=%q)", ErrErrorBudgetTooTight, maxErr, epsName)
-	}
-	// Clamp to the offered range of the default grid (identical grids
-	// by construction, but guard against numerical drift).
-	lo, hi := off.transform.Bounds()
-	delta = math.Min(math.Max(delta, lo), hi)
-	return b.sell(ctx, m, off, delta)
 }
 
 // Models lists the offered models (the menu M). Lock-free.
@@ -562,43 +526,6 @@ func (b *Broker) Models() []ml.Model {
 // ErrUnknownModel is returned for models not on the menu.
 var ErrUnknownModel = errors.New("market: model not offered")
 
-// PriceErrorCurve returns the buyer-facing menu of (δ, expected error,
-// price) rows for model m (Figure 1C, step 2). Lock-free.
-func (b *Broker) PriceErrorCurve(m ml.Model) ([]pricing.PriceError, error) {
-	off, ok := b.lookup(m)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
-	}
-	return pricing.PriceErrorCurve(off.curve, off.transform), nil
-}
-
-// BuyAtPoint executes option 1: the buyer picks an NCP δ directly.
-func (b *Broker) BuyAtPoint(m ml.Model, delta float64) (*Purchase, error) {
-	return b.BuyAtPointContext(context.Background(), m, delta)
-}
-
-// BuyAtPointContext is BuyAtPoint traced on the caller's context: the
-// sale's price lookup, noise injection, and ledger append each become
-// child spans of the request that triggered them.
-func (b *Broker) BuyAtPointContext(ctx context.Context, m ml.Model, delta float64) (*Purchase, error) {
-	ctx, span := trace.Start(ctx, "market.buy", "option", "point", "model", m.String())
-	defer span.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	off, ok := b.lookup(m)
-	if !ok {
-		metRejected.Inc()
-		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
-	}
-	lo, hi := off.transform.Bounds()
-	if delta < lo || delta > hi || math.IsNaN(delta) {
-		metRejected.Inc()
-		return nil, fmt.Errorf("market: δ=%v outside offered range [%v, %v]", delta, lo, hi)
-	}
-	return b.sell(ctx, m, off, delta)
-}
-
 // ErrBudgetTooSmall is returned when no offered version fits the budget.
 var ErrBudgetTooSmall = errors.New("market: budget below the cheapest offered version")
 
@@ -606,25 +533,107 @@ var ErrBudgetTooSmall = errors.New("market: budget below the cheapest offered ve
 // offered version cannot meet the requested error.
 var ErrErrorBudgetTooTight = errors.New("market: error budget below the most accurate offered version")
 
-// BuyWithErrorBudget executes option 2: cheapest version whose expected
-// error is at most maxErr (under the offer's default ϵ).
-func (b *Broker) BuyWithErrorBudget(m ml.Model, maxErr float64) (*Purchase, error) {
-	return b.BuyWithErrorBudgetForContext(context.Background(), m, "", maxErr)
+// ErrInvalidSpec is returned for a purchase spec no option can serve:
+// an unknown Kind or a non-finite Value. httpapi maps it to 400.
+var ErrInvalidSpec = errors.New("market: invalid purchase spec")
+
+// Kind selects one of the three purchase options of Section 3.2.
+type Kind int
+
+const (
+	// AtPoint buys the version at an explicit NCP δ = Value (option 1).
+	AtPoint Kind = iota
+	// ErrorBudget buys the cheapest version whose expected error is at
+	// most Value (option 2).
+	ErrorBudget
+	// PriceBudget buys the most accurate version whose price is at most
+	// Value (option 3).
+	PriceBudget
+)
+
+// String names the option as the market.buy span's option attribute.
+func (k Kind) String() string {
+	switch k {
+	case AtPoint:
+		return "point"
+	case ErrorBudget:
+		return "error_budget"
+	case PriceBudget:
+		return "price_budget"
+	default:
+		return "unknown"
+	}
 }
 
-// BuyWithPriceBudget executes option 3: the most accurate version whose
-// price is within budget.
-func (b *Broker) BuyWithPriceBudget(m ml.Model, budget float64) (*Purchase, error) {
-	return b.BuyWithPriceBudgetContext(context.Background(), m, budget)
+// Spec is one purchase request: the option, its parameter, and the
+// optional error function and idempotency key.
+type Spec struct {
+	Kind Kind
+	// Value is δ, the error budget ϵ̂ or the price budget p̂, per Kind.
+	Value float64
+	// Epsilon names the error function an ErrorBudget is measured
+	// under; empty selects the offer's default. Other kinds ignore it.
+	Epsilon string
+	// Key makes the purchase idempotent: the first Buy under a key runs
+	// the sale, concurrent Buys with the same key coalesce onto that
+	// run, and later ones within ReplayTTL get the original Purchase
+	// back — same Seq, same noisy weights, one ledger row — instead of
+	// being charged again. Empty means no replay protection.
+	Key string
 }
 
-// BuyWithPriceBudgetContext is BuyWithPriceBudget traced on the
-// caller's context.
-func (b *Broker) BuyWithPriceBudgetContext(ctx context.Context, m ml.Model, budget float64) (*Purchase, error) {
-	ctx, span := trace.Start(ctx, "market.buy", "option", "price_budget", "model", m.String())
+// Buy executes one purchase. With a Spec.Key it runs at most once per
+// key (see Spec.Key); replayed reports whether the result came from
+// the replay cache rather than a fresh sale. Only successful purchases
+// are replayable: a failed or canceled buy is forgotten so the next
+// retry executes fresh. The sale runs on the first caller's ctx — if
+// that caller's deadline expires mid-sale, coalesced waiters observe
+// the same error.
+//
+// Every successful buy, keyed or not, then waits on the replication
+// acknowledgement barrier, if one is installed (see SetAckBarrier).
+func (b *Broker) Buy(ctx context.Context, m ml.Model, s Spec) (p *Purchase, replayed bool, err error) {
+	if s.Key == "" {
+		p, err = b.buy(ctx, m, s)
+	} else {
+		// The owning flight carries the key in its context so a durable
+		// ledger can journal the idempotency entry with the transaction.
+		keyed := withIdempotencyKey(ctx, s.Key)
+		p, replayed, err = b.replay.Do(ctx, s.Key, func() (*Purchase, error) { return b.buy(keyed, m, s) })
+	}
+	if err != nil {
+		return nil, replayed, err
+	}
+	// The acknowledgement barrier runs outside the replay flight so a
+	// quorum timeout does not evict the cached success: the sale is
+	// journaled and shipping, and a retry under the same key replays
+	// the original Seq (and re-waits for the quorum) rather than
+	// charging twice. Replayed successes wait too — under a partition,
+	// quorum mode stalls acknowledgements, it never invents them.
+	if err := b.waitAck(ctx); err != nil {
+		return nil, replayed, err
+	}
+	if replayed {
+		metReplayed.Inc()
+		if span := trace.FromContext(ctx); span != nil {
+			span.SetAttr("idempotency.replayed", "true")
+		}
+	}
+	return p, replayed, nil
+}
+
+// buy resolves the spec to an NCP δ on the offer and sells it, traced
+// as one market.buy span on the caller's context: the sale's price
+// lookup, noise injection, and ledger append become its children.
+func (b *Broker) buy(ctx context.Context, m ml.Model, s Spec) (*Purchase, error) {
+	ctx, span := trace.Start(ctx, "market.buy", "option", s.Kind.String(), "model", m.String())
 	defer span.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if s.Kind < AtPoint || s.Kind > PriceBudget || math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+		metRejected.Inc()
+		return nil, fmt.Errorf("%w: %v %v", ErrInvalidSpec, s.Kind, s.Value)
 	}
 	off, ok := b.lookup(m)
 	if !ok {
@@ -632,84 +641,58 @@ func (b *Broker) BuyWithPriceBudgetContext(ctx context.Context, m ml.Model, budg
 		return nil, fmt.Errorf("%w: %v", ErrUnknownModel, m)
 	}
 	lo, hi := off.transform.Bounds()
-	if budget < off.curve.Price(1/hi) {
-		metRejected.Inc()
-		return nil, fmt.Errorf("%w: %v < %v", ErrBudgetTooSmall, budget, off.curve.Price(1/hi))
-	}
-	// The price is non-increasing in δ; binary-search the smallest δ
-	// (most accurate version) still within budget.
-	_, search := trace.Start(ctx, "pricing.budget_search", "budget", strconv.FormatFloat(budget, 'g', -1, 64))
-	loD, hiD := lo, hi
-	for i := 0; i < 200 && hiD-loD > 1e-12*(1+hiD); i++ {
-		mid := (loD + hiD) / 2
-		if off.curve.Price(1/mid) <= budget {
-			hiD = mid
-		} else {
-			loD = mid
+	var delta float64
+	switch s.Kind {
+	case AtPoint:
+		delta = s.Value
+		if delta < lo || delta > hi {
+			metRejected.Inc()
+			return nil, fmt.Errorf("market: δ=%v outside offered range [%v, %v]", delta, lo, hi)
 		}
-	}
-	search.End()
-	return b.sell(ctx, m, off, hiD)
-}
-
-// BuyIdempotent executes buy at most once per idempotency key: the
-// first caller of a key runs it, concurrent callers with the same key
-// coalesce onto that one execution, and later callers within
-// ReplayTTL get the original Purchase back — same Seq, same noisy
-// weights, same single ledger row — instead of being charged again.
-// replayed reports whether the result came from the cache rather than
-// a fresh sale. An empty key opts out: buy runs unconditionally.
-//
-// Only successful purchases are replayable; a failed or canceled buy
-// is forgotten so the client's next retry executes fresh. The buy
-// closure runs on the first caller's ctx — if that caller's deadline
-// expires mid-sale, coalesced waiters observe the same error.
-func (b *Broker) BuyIdempotent(ctx context.Context, key string, buy func(context.Context) (*Purchase, error)) (p *Purchase, replayed bool, err error) {
-	if key == "" {
-		p, err = buy(ctx)
-		if err == nil {
-			err = b.waitAck(ctx)
-		}
+	case ErrorBudget:
+		tr, err := off.transformFor(s.Epsilon)
 		if err != nil {
-			return nil, false, err
+			metRejected.Inc()
+			return nil, err
 		}
-		return p, false, nil
-	}
-	// The owning flight carries the key in its context so a durable
-	// ledger can journal the idempotency entry with the transaction.
-	keyed := withIdempotencyKey(ctx, key)
-	p, replayed, err = b.replay.Do(ctx, key, func() (*Purchase, error) { return buy(keyed) })
-	if err == nil {
-		// The acknowledgement barrier runs outside the replay flight so
-		// a quorum timeout does not evict the cached success: the sale
-		// is journaled and shipping, and a retry under the same key
-		// replays the original Seq (and re-waits for the quorum) rather
-		// than charging twice. Replayed successes wait too — under a
-		// partition, quorum mode stalls acknowledgements, it never
-		// invents them.
-		if aerr := b.waitAck(ctx); aerr != nil {
-			return nil, replayed, aerr
+		d, err := tr.DeltaForError(s.Value)
+		if err != nil {
+			metRejected.Inc()
+			return nil, fmt.Errorf("%w (requested %v under ϵ=%q)", ErrErrorBudgetTooTight, s.Value, s.Epsilon)
 		}
-	}
-	if replayed && err == nil {
-		metReplayed.Inc()
-		if span := trace.FromContext(ctx); span != nil {
-			span.SetAttr("idempotency.replayed", "true")
+		// Clamp to the offered range of the default grid (identical grids
+		// by construction, but guard against numerical drift).
+		delta = math.Min(math.Max(d, lo), hi)
+	case PriceBudget:
+		budget := s.Value
+		if floor := off.curve.Price(1 / hi); budget < floor {
+			metRejected.Inc()
+			return nil, fmt.Errorf("%w: %v < %v", ErrBudgetTooSmall, budget, floor)
 		}
+		// The price is non-increasing in δ; binary-search the smallest δ
+		// (most accurate version) still within budget.
+		_, search := trace.Start(ctx, "pricing.budget_search", "budget", strconv.FormatFloat(budget, 'g', -1, 64))
+		loD, hiD := lo, hi
+		for i := 0; i < 200 && hiD-loD > 1e-12*(1+hiD); i++ {
+			mid := (loD + hiD) / 2
+			if off.curve.Price(1/mid) <= budget {
+				hiD = mid
+			} else {
+				loD = mid
+			}
+		}
+		search.End()
+		delta = hiD
 	}
-	return p, replayed, err
+	return b.sell(ctx, m, off, delta)
 }
 
 // Quote previews the price and expected error of the version at NCP δ
-// without executing a sale (no noise drawn, no ledger entry).
-func (b *Broker) Quote(m ml.Model, delta float64) (price, expectedError float64, err error) {
-	return b.QuoteContext(context.Background(), m, delta)
-}
-
-// QuoteContext is Quote traced on the caller's context. Lock-free: the
-// quote is evaluated on the immutable offer snapshot, so quotes keep
-// flowing while a slow AddModel holds Broker.mu.
-func (b *Broker) QuoteContext(ctx context.Context, m ml.Model, delta float64) (price, expectedError float64, err error) {
+// without executing a sale (no noise drawn, no ledger entry), traced on
+// the caller's context. Lock-free: the quote is evaluated on the
+// immutable offer snapshot, so quotes keep flowing while a slow
+// AddModel holds Broker.mu.
+func (b *Broker) Quote(ctx context.Context, m ml.Model, delta float64) (price, expectedError float64, err error) {
 	ctx, span := trace.Start(ctx, "market.quote", "model", m.String())
 	defer span.End()
 	if err := ctx.Err(); err != nil {
@@ -862,37 +845,12 @@ func (b *Broker) LedgerFrom(from int) (rows []Transaction, total int) {
 	return append([]Transaction(nil), txs[from:]...), len(txs)
 }
 
-// RevenueSplit is the single-seller compatibility view of the per-sale
-// attribution table: sellerShare is the cumulative revenue attributed
-// to all sellers combined and brokerShare the cumulative commission,
-// both read from the running stripe totals the sale path accumulates —
-// O(sellers) per stripe, no snapshot build — so /metrics and listing
-// polls stay cheap under live traffic. Legacy rows journaled before
-// attribution (no table) are folded in at the commission rate. For the
-// per-seller breakdown use RevenueSplits; the background auditor
-// cross-checks both against the rows continuously.
-func (b *Broker) RevenueSplit() (sellerShare, brokerShare float64) {
-	bySeller, broker, legacy := b.ledger.splitTotals()
-	// Sum in sorted seller order: map iteration order must not leak
-	// into the reported figure (the workload rig compares economic
-	// totals bit-for-bit across runs).
-	ids := make([]string, 0, len(bySeller))
-	for id := range bySeller {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		sellerShare += bySeller[id]
-	}
-	return sellerShare + legacy*(1-b.commission), broker + legacy*b.commission
-}
-
 // LedgerTotals reports the ledger's row count, the gross re-summed
 // from the stored rows themselves, and the independently accumulated
 // per-stripe gross — scanned in place, no snapshot build, so it is
 // safe to poll on a tight cadence. The background auditor
 // (internal/market/audit) cross-checks the two aggregates and the
-// RevenueSplit sum against each other every sweep.
+// Revenue sum against each other every sweep.
 func (b *Broker) LedgerTotals() (rows int, gross, stripeGross float64) {
 	return b.ledger.totals()
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -89,7 +90,7 @@ func TestAddModelTaskMismatch(t *testing.T) {
 
 func TestPriceErrorCurveShape(t *testing.T) {
 	b := testBroker(t)
-	menu, err := b.PriceErrorCurve(ml.LinearRegression)
+	menu, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPriceErrorCurveShape(t *testing.T) {
 			t.Fatalf("menu price not monotone at %d", i)
 		}
 	}
-	if _, err := b.PriceErrorCurve(ml.LinearSVM); !errors.Is(err, ErrUnknownModel) {
+	if _, err := b.PriceErrorCurve(ml.LinearSVM, ""); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -124,7 +125,7 @@ func TestPublishedCurveIsArbitrageFree(t *testing.T) {
 
 func TestBuyAtPoint(t *testing.T) {
 	b := testBroker(t)
-	p, err := b.BuyAtPoint(ml.LinearRegression, 1.0/25)
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 1.0 / 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +136,13 @@ func TestBuyAtPoint(t *testing.T) {
 		t.Fatalf("bad purchase %+v", p)
 	}
 	// Out-of-range deltas rejected.
-	if _, err := b.BuyAtPoint(ml.LinearRegression, 1e6); err == nil {
+	if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 1e6}); err == nil {
 		t.Fatal("huge delta accepted")
 	}
-	if _, err := b.BuyAtPoint(ml.LinearRegression, 1e-9); err == nil {
+	if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 1e-9}); err == nil {
 		t.Fatal("tiny delta accepted")
 	}
-	if _, err := b.BuyAtPoint(ml.LinearSVM, 1); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := b.Buy(context.Background(), ml.LinearSVM, Spec{Kind: AtPoint, Value: 1}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -152,7 +153,7 @@ func TestBuyerNeverGetsOptimalWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := b.BuyAtPoint(ml.LinearRegression, 0.1)
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +171,10 @@ func TestBuyerNeverGetsOptimalWeights(t *testing.T) {
 
 func TestBuyWithErrorBudget(t *testing.T) {
 	b := testBroker(t)
-	menu, _ := b.PriceErrorCurve(ml.LinearRegression)
+	menu, _ := b.PriceErrorCurve(ml.LinearRegression, "")
 	// Pick a budget between the menu's extremes.
 	budget := (menu[0].ExpectedError + menu[len(menu)-1].ExpectedError) / 2
-	p, err := b.BuyWithErrorBudget(ml.LinearRegression, budget)
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: ErrorBudget, Value: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +188,16 @@ func TestBuyWithErrorBudget(t *testing.T) {
 		}
 	}
 	// Impossible budget.
-	if _, err := b.BuyWithErrorBudget(ml.LinearRegression, menu[len(menu)-1].ExpectedError/2); !errors.Is(err, ErrErrorBudgetTooTight) {
+	if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: ErrorBudget, Value: menu[len(menu)-1].ExpectedError / 2}); !errors.Is(err, ErrErrorBudgetTooTight) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestBuyWithPriceBudget(t *testing.T) {
 	b := testBroker(t)
-	menu, _ := b.PriceErrorCurve(ml.LinearRegression)
+	menu, _ := b.PriceErrorCurve(ml.LinearRegression, "")
 	maxPrice := menu[len(menu)-1].Price
-	p, err := b.BuyWithPriceBudget(ml.LinearRegression, maxPrice/2)
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: PriceBudget, Value: maxPrice / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestBuyWithPriceBudget(t *testing.T) {
 		}
 	}
 	// A budget at/above the maximum buys the most accurate version.
-	p, err = b.BuyWithPriceBudget(ml.LinearRegression, maxPrice*2)
+	p, _, err = b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: PriceBudget, Value: maxPrice * 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestBuyWithPriceBudget(t *testing.T) {
 	// A budget below the cheapest version errors.
 	cheapest := menu[0].Price
 	if cheapest > 0 {
-		if _, err := b.BuyWithPriceBudget(ml.LinearRegression, cheapest/1e6); !errors.Is(err, ErrBudgetTooSmall) {
+		if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: PriceBudget, Value: cheapest / 1e6}); !errors.Is(err, ErrBudgetTooSmall) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -230,7 +231,7 @@ func TestLedgerAndRevenueSplit(t *testing.T) {
 	b := testBroker(t)
 	var total float64
 	for i := 0; i < 5; i++ {
-		p, err := b.BuyAtPoint(ml.LinearRegression, 1.0/(float64(i)*10+2.5))
+		p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 1.0 / (float64(i)*10 + 2.5)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,8 @@ func TestLedgerAndRevenueSplit(t *testing.T) {
 			t.Fatalf("seq %d at row %d", tx.Seq, i)
 		}
 	}
-	seller, broker := b.RevenueSplit()
+	rev := b.Revenue()
+	seller, broker := rev.SellerShare, rev.BrokerShare
 	if math.Abs(seller+broker-total) > 1e-9 {
 		t.Fatalf("split %v+%v != %v", seller, broker, total)
 	}
@@ -294,7 +296,7 @@ func TestConcurrentPurchases(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := b.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+				if _, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1}); err != nil {
 					errs <- err
 				}
 			}
@@ -329,7 +331,7 @@ func TestClassificationMarket(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := b.BuyWithPriceBudget(ml.LogisticRegression, 25)
+	p, _, err := b.Buy(context.Background(), ml.LogisticRegression, Spec{Kind: PriceBudget, Value: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +344,7 @@ func BenchmarkBuyAtPoint(b *testing.B) {
 	br := testBroker(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := br.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+		if _, _, err := br.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,8 +368,8 @@ func TestAnalyticTransformMatchesEmpiricalMenu(t *testing.T) {
 	if err := slow.AddModel(ml.LinearRegression, AddModelOptions{ForceEmpirical: true, MCSamples: 3000}); err != nil {
 		t.Fatal(err)
 	}
-	mf, _ := fast.PriceErrorCurve(ml.LinearRegression)
-	ms, _ := slow.PriceErrorCurve(ml.LinearRegression)
+	mf, _ := fast.PriceErrorCurve(ml.LinearRegression, "")
+	ms, _ := slow.PriceErrorCurve(ml.LinearRegression, "")
 	for i := range mf {
 		rel := math.Abs(mf[i].ExpectedError-ms[i].ExpectedError) / (1 + mf[i].ExpectedError)
 		if rel > 0.02 {
@@ -378,12 +380,12 @@ func TestAnalyticTransformMatchesEmpiricalMenu(t *testing.T) {
 
 func TestQuoteMatchesSale(t *testing.T) {
 	b := testBroker(t)
-	price, expErr, err := b.Quote(ml.LinearRegression, 0.1)
+	price, expErr, err := b.Quote(context.Background(), ml.LinearRegression, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(b.Ledger())
-	p, err := b.BuyAtPoint(ml.LinearRegression, 0.1)
+	p, _, err := b.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +396,16 @@ func TestQuoteMatchesSale(t *testing.T) {
 		t.Fatal("sale not recorded")
 	}
 	// Quoting never touches the ledger.
-	if _, _, err := b.Quote(ml.LinearRegression, 0.1); err != nil {
+	if _, _, err := b.Quote(context.Background(), ml.LinearRegression, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Ledger()) != before+1 {
 		t.Fatal("quote recorded a transaction")
 	}
-	if _, _, err := b.Quote(ml.LinearRegression, 1e6); err == nil {
+	if _, _, err := b.Quote(context.Background(), ml.LinearRegression, 1e6); err == nil {
 		t.Fatal("out-of-range quote accepted")
 	}
-	if _, _, err := b.Quote(ml.LinearSVM, 0.1); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := b.Quote(context.Background(), ml.LinearSVM, 0.1); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -213,7 +213,7 @@ func MultiSellerBroker(tb testing.TB, seed uint64, n int) *market.Broker {
 // error. Rows are ordered cheapest (noisiest) first.
 func Menu(tb testing.TB, b *market.Broker) []pricing.PriceError {
 	tb.Helper()
-	menu, err := b.PriceErrorCurve(Model)
+	menu, err := b.PriceErrorCurve(Model, "")
 	if err != nil {
 		tb.Fatal(err)
 	}

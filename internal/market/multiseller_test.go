@@ -8,6 +8,7 @@ package market_test
 // being compared is itself an order-dependent float sum.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -62,9 +63,9 @@ func TestMultiSellerChaosConservation(t *testing.T) {
 				}
 				var err error
 				if (w+i)%2 == 0 {
-					_, err = b.BuyAtPoint(markettest.Model, cheap.Delta)
+					_, _, err = b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: cheap.Delta})
 				} else {
-					_, err = b.BuyWithPriceBudget(markettest.Model, best.Price)
+					_, _, err = b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.PriceBudget, Value: best.Price})
 				}
 				if err != nil {
 					errs <- err
@@ -117,13 +118,13 @@ func TestMultiSellerChaosConservation(t *testing.T) {
 			diff, attributed, rep.Broker, rep.Gross)
 	}
 
-	// The single-figure compat split must agree with the per-seller view.
-	sellerShare, brokerShare := b.RevenueSplit()
-	if math.Abs(sellerShare-attributed) > 1e-9*(1+attributed) {
-		t.Fatalf("RevenueSplit seller %v vs attributed %v", sellerShare, attributed)
+	// The revenue totals must agree with the audit's per-seller view.
+	rev := b.Revenue()
+	if math.Abs(rev.SellerShare-attributed) > 1e-9*(1+attributed) {
+		t.Fatalf("Revenue seller share %v vs attributed %v", rev.SellerShare, attributed)
 	}
-	if math.Abs(brokerShare-rep.Broker) > 1e-9*(1+rep.Broker) {
-		t.Fatalf("RevenueSplit broker %v vs report %v", brokerShare, rep.Broker)
+	if math.Abs(rev.BrokerShare-rep.Broker) > 1e-9*(1+rep.Broker) {
+		t.Fatalf("Revenue broker share %v vs report %v", rev.BrokerShare, rep.Broker)
 	}
 	// The withdrawn seller keeps its pre-churn accrual.
 	if rep.Sellers[fmt.Sprintf("seller-%d", sellers-1)] <= 0 {
@@ -182,7 +183,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 	}
 	menu := markettest.Menu(t, b)
 	for i := 0; i < 4; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[i%len(menu)].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,12 +191,12 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(markettest.Model, menu[i%len(menu)].Delta); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[i%len(menu)].Delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := b.Ledger()
-	wantSplits := b.RevenueSplits()
+	wantSplits := b.Revenue().Sellers
 	wantStakes := b.SellerStakes()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 		}
 	}
 
-	gotSplits := b2.RevenueSplits()
+	gotSplits := b2.Revenue().Sellers
 	if len(gotSplits) != len(wantSplits) {
 		t.Fatalf("recovered splits %v, want %v", gotSplits, wantSplits)
 	}
@@ -259,7 +260,7 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 	}
 
 	// The recovered broker keeps selling under the recovered stakes.
-	if _, err := b2.BuyAtPoint(markettest.Model, menu[0].Delta); err != nil {
+	if _, _, err := b2.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: menu[0].Delta}); err != nil {
 		t.Fatal(err)
 	}
 	last := b2.Ledger()
@@ -269,10 +270,10 @@ func TestMultiSellerDurableRecovery(t *testing.T) {
 }
 
 // TestExchangeRevenueBySellerConservation is the exchange-level
-// regression: TotalRevenue (the legacy two-figure split summed across
-// listings) must reconcile with the per-seller attribution map — with
-// concurrent buys hitting both a multi-seller and a legacy
-// single-seller listing.
+// regression: Exchange.Revenue's seller share must be the sum of its
+// per-seller map, and seller plus broker share must reconcile with the
+// listings' ledgers — with concurrent buys hitting both a multi-seller
+// and a legacy single-seller listing.
 func TestExchangeRevenueBySellerConservation(t *testing.T) {
 	e := market.NewExchange()
 	multi := markettest.MultiSellerBroker(t, 1, 3)
@@ -299,9 +300,9 @@ func TestExchangeRevenueBySellerConservation(t *testing.T) {
 				if (w+i)%2 == 0 {
 					name = "single"
 				}
-				b, err := e.Broker(name)
+				b, err := e.Broker(context.Background(), name)
 				if err == nil {
-					_, err = b.BuyAtPoint(markettest.Model, delta)
+					_, _, err = b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 				}
 				if err != nil {
 					errs <- err
@@ -315,18 +316,15 @@ func TestExchangeRevenueBySellerConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sellerShare, brokerShare := e.TotalRevenue()
-	bySeller, brokerShare2 := e.RevenueBySeller()
-	if math.Float64bits(brokerShare) != math.Float64bits(brokerShare2) {
-		t.Fatalf("broker share %v vs %v", brokerShare, brokerShare2)
-	}
+	rev := e.Revenue()
+	bySeller := rev.Sellers
 	var attributed float64
 	for _, amt := range bySeller {
 		attributed += amt
 	}
-	if diff := math.Abs(attributed - sellerShare); diff > 1e-9*(1+sellerShare) {
-		t.Fatalf("Σ per-seller %v != TotalRevenue seller share %v (diff %g, map %v)",
-			attributed, sellerShare, diff, bySeller)
+	if diff := math.Abs(attributed - rev.SellerShare); diff > 1e-9*(1+rev.SellerShare) {
+		t.Fatalf("Σ per-seller %v != seller share %v (diff %g, map %v)",
+			attributed, rev.SellerShare, diff, bySeller)
 	}
 	// Every staked seller traded. The single-seller listing's stake
 	// table rides in the fixture's offer snapshot (SaveOffers persists
@@ -337,8 +335,8 @@ func TestExchangeRevenueBySellerConservation(t *testing.T) {
 		}
 	}
 	gross := multiGross(multi) + multiGross(single)
-	if diff := math.Abs(sellerShare + brokerShare - gross); diff > 1e-9*(1+gross) {
-		t.Fatalf("split %v+%v vs gross %v (diff %g)", sellerShare, brokerShare, gross, diff)
+	if diff := math.Abs(rev.SellerShare + rev.BrokerShare - gross); diff > 1e-9*(1+gross) {
+		t.Fatalf("split %v+%v vs gross %v (diff %g)", rev.SellerShare, rev.BrokerShare, gross, diff)
 	}
 }
 

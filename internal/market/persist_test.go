@@ -2,6 +2,7 @@ package market
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -28,11 +29,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The restored broker publishes the identical menu.
-	m1, err := b.PriceErrorCurve(ml.LinearRegression)
+	m1, err := b.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := b2.PriceErrorCurve(ml.LinearRegression)
+	m2, err := b2.PriceErrorCurve(ml.LinearRegression, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// And sells.
-	if _, err := b2.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
+	if _, _, err := b2.Buy(context.Background(), ml.LinearRegression, Spec{Kind: AtPoint, Value: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	// And its restored optimum matches.

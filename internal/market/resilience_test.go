@@ -3,7 +3,9 @@ package market_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,18 +27,18 @@ func TestBuyIdempotentReplaysOriginalPurchase(t *testing.T) {
 	b := markettest.Broker(t, 1)
 	delta := midDelta(t, b)
 	ctx := context.Background()
-	buy := func(ctx context.Context) (*market.Purchase, error) {
-		return b.BuyAtPointContext(ctx, markettest.Model, delta)
+	buy := func(key string) (*market.Purchase, bool, error) {
+		return b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta, Key: key})
 	}
 
-	first, replayed, err := b.BuyIdempotent(ctx, "key-1", buy)
+	first, replayed, err := buy("key-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replayed {
 		t.Fatal("first buy reported replayed")
 	}
-	second, replayed, err := b.BuyIdempotent(ctx, "key-1", buy)
+	second, replayed, err := buy("key-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestBuyIdempotentReplaysOriginalPurchase(t *testing.T) {
 	}
 
 	// A different key is a genuinely new purchase.
-	third, replayed, err := b.BuyIdempotent(ctx, "key-2", buy)
+	third, replayed, err := buy("key-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestBuyIdempotentReplaysOriginalPurchase(t *testing.T) {
 		t.Fatalf("distinct key replayed (replayed=%v, seq %d vs %d)", replayed, third.Seq, first.Seq)
 	}
 	// And an empty key opts out of idempotency entirely.
-	fourth, replayed, err := b.BuyIdempotent(ctx, "", buy)
+	fourth, replayed, err := buy("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +89,8 @@ func TestBuyIdempotentCoalescesConcurrentRetries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := b.BuyIdempotent(context.Background(), "contended-key", func(ctx context.Context) (*market.Purchase, error) {
-				return b.BuyAtPointContext(ctx, markettest.Model, delta)
-			})
+			p, _, err := b.Buy(context.Background(), markettest.Model,
+				market.Spec{Kind: market.AtPoint, Value: delta, Key: "contended-key"})
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -111,19 +112,14 @@ func TestBuyIdempotentCoalescesConcurrentRetries(t *testing.T) {
 
 func TestBuyIdempotentDoesNotReplayFailures(t *testing.T) {
 	b := markettest.Broker(t, 1)
-	boom := errors.New("transient")
-	calls := 0
-	buy := func(ctx context.Context) (*market.Purchase, error) {
-		calls++
-		if calls == 1 {
-			return nil, boom
-		}
-		return b.BuyAtPointContext(ctx, markettest.Model, midDelta(t, b))
+	spec := market.Spec{Kind: market.AtPoint, Value: midDelta(t, b), Key: "k"}
+	// The first attempt fails transiently: its caller already hung up.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := b.Buy(canceled, markettest.Model, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want %v", err, context.Canceled)
 	}
-	if _, _, err := b.BuyIdempotent(context.Background(), "k", buy); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	p, replayed, err := b.BuyIdempotent(context.Background(), "k", buy)
+	p, replayed, err := b.Buy(context.Background(), markettest.Model, spec)
 	if err != nil || replayed || p == nil {
 		t.Fatalf("retry after failure = (%v, %v, %v), want fresh success", p, replayed, err)
 	}
@@ -133,17 +129,17 @@ func TestBuyCanceledBeforeStartLeavesNoTrace(t *testing.T) {
 	b := markettest.Broker(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.BuyAtPointContext(ctx, markettest.Model, midDelta(t, b)); !errors.Is(err, context.Canceled) {
+	if _, _, err := b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: midDelta(t, b)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, _, err := b.QuoteContext(ctx, markettest.Model, midDelta(t, b)); !errors.Is(err, context.Canceled) {
+	if _, _, err := b.Quote(ctx, markettest.Model, midDelta(t, b)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("quote err = %v, want context.Canceled", err)
 	}
 	if txs := b.Ledger(); len(txs) != 0 {
 		t.Fatalf("ledger has %d rows after canceled buy, want 0", len(txs))
 	}
-	if seller, broker := b.RevenueSplit(); seller != 0 || broker != 0 {
-		t.Fatalf("revenue = (%v, %v) after canceled buy, want (0, 0)", seller, broker)
+	if rev := b.Revenue(); rev.SellerShare != 0 || rev.BrokerShare != 0 {
+		t.Fatalf("revenue = (%v, %v) after canceled buy, want (0, 0)", rev.SellerShare, rev.BrokerShare)
 	}
 }
 
@@ -171,21 +167,21 @@ func TestBuyCanceledMidPerturbLeavesLedgerUntouched(t *testing.T) {
 	b := markettest.BrokerWith(t, 1, mech)
 	delta := midDelta(t, b)
 
-	if _, err := b.BuyAtPointContext(ctx, markettest.Model, delta); !errors.Is(err, context.Canceled) {
+	if _, _, err := b.Buy(ctx, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if txs := b.Ledger(); len(txs) != 0 {
 		t.Fatalf("ledger has %d rows after mid-Perturb cancel, want 0 (no partial charge)", len(txs))
 	}
-	if seller, broker := b.RevenueSplit(); seller != 0 || broker != 0 {
-		t.Fatalf("revenue = (%v, %v), want (0, 0)", seller, broker)
+	if rev := b.Revenue(); rev.SellerShare != 0 || rev.BrokerShare != 0 {
+		t.Fatalf("revenue = (%v, %v), want (0, 0)", rev.SellerShare, rev.BrokerShare)
 	}
 
 	// The abandoned sale's sequence number was released: the next
 	// successful purchase starts the ledger at seq 1, keeping it
 	// contiguous.
 	mech.cancel = func() {}
-	p, err := b.BuyAtPointContext(context.Background(), markettest.Model, delta)
+	p, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +210,7 @@ func TestLedgerSeqsContiguousAfterInterleavedCancellations(t *testing.T) {
 		if i%3 == 0 {
 			use = canceled
 		}
-		p, err := b.BuyAtPointContext(use, markettest.Model, delta)
+		p, _, err := b.Buy(use, markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta})
 		if use == canceled {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("buy %d: err = %v, want Canceled", i, err)
@@ -245,5 +241,72 @@ func TestReplayCacheConstants(t *testing.T) {
 	// schedule (seconds) without being unbounded.
 	if market.ReplayCapacity < 1024 || market.ReplayTTL < time.Minute {
 		t.Fatalf("replay bounds too tight: capacity=%d ttl=%v", market.ReplayCapacity, market.ReplayTTL)
+	}
+}
+
+// TestBuyRejectsNonFiniteSpec: a NaN or infinite Spec.Value names no
+// version under any option. Buy must refuse it with ErrInvalidSpec —
+// not sell at some δ, and not pass it off as an economic no-sale —
+// and charge nothing.
+func TestBuyRejectsNonFiniteSpec(t *testing.T) {
+	b := markettest.Broker(t, 1)
+	for _, kind := range []market.Kind{market.AtPoint, market.ErrorBudget, market.PriceBudget} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, key := range []string{"", "k"} {
+				spec := market.Spec{Kind: kind, Value: v, Key: key}
+				p, _, err := b.Buy(context.Background(), markettest.Model, spec)
+				if !errors.Is(err, market.ErrInvalidSpec) || p != nil {
+					t.Errorf("Buy(%+v) = (%v, %v), want ErrInvalidSpec", spec, p, err)
+				}
+			}
+		}
+	}
+	if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: -1, Value: 0.1}); !errors.Is(err, market.ErrInvalidSpec) {
+		t.Errorf("unknown kind: err = %v, want ErrInvalidSpec", err)
+	}
+	if txs := b.Ledger(); len(txs) != 0 {
+		t.Fatalf("ledger has %d rows after invalid specs, want 0", len(txs))
+	}
+}
+
+// TestBuyWaitsOnAckBarrier pins the quorum-ack contract at the market
+// level: under a failing acknowledgement barrier both keyless and keyed
+// buys report ErrReplicationLag while their sales stay on the ledger,
+// and once the barrier heals a keyed retry replays the original Seq
+// instead of charging again.
+func TestBuyWaitsOnAckBarrier(t *testing.T) {
+	b := markettest.Broker(t, 1)
+	ctx := context.Background()
+	var healed atomic.Bool
+	b.SetAckBarrier(func(context.Context) error {
+		if healed.Load() {
+			return nil
+		}
+		return errors.New("partitioned")
+	})
+
+	spec := market.Spec{Kind: market.AtPoint, Value: midDelta(t, b)}
+	if _, _, err := b.Buy(ctx, markettest.Model, spec); !errors.Is(err, market.ErrReplicationLag) {
+		t.Fatalf("keyless buy: err = %v, want ErrReplicationLag", err)
+	}
+	spec.Key = "lagging"
+	if _, _, err := b.Buy(ctx, markettest.Model, spec); !errors.Is(err, market.ErrReplicationLag) {
+		t.Fatalf("keyed buy: err = %v, want ErrReplicationLag", err)
+	}
+	txs := b.Ledger()
+	if len(txs) != 2 {
+		t.Fatalf("ledger has %d rows, want 2: a lagging quorum does not roll sales back", len(txs))
+	}
+
+	healed.Store(true)
+	p, replayed, err := b.Buy(ctx, markettest.Model, spec)
+	if err != nil || !replayed {
+		t.Fatalf("retry after heal = (replayed %v, %v), want a replay", replayed, err)
+	}
+	if p.Seq != txs[1].Seq {
+		t.Fatalf("retry got seq %d, want the original %d", p.Seq, txs[1].Seq)
+	}
+	if n := len(b.Ledger()); n != 2 {
+		t.Fatalf("ledger has %d rows after the retry, want 2", n)
 	}
 }

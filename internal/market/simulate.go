@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/datamarket/mbp/internal/ml"
@@ -56,7 +57,7 @@ func (b *Broker) SimulateBuyers(m ml.Model, nBuyers int, seed uint64) (Simulatio
 		price := off.curve.Price(research.A[j])
 		if price <= research.V[j]+1e-9 {
 			// The buyer purchases the version at δ = 1/aⱼ.
-			if _, err := b.BuyAtPoint(m, 1/research.A[j]); err != nil {
+			if _, _, err := b.Buy(context.TODO(), m, Spec{Kind: AtPoint, Value: 1 / research.A[j]}); err != nil {
 				return SimulationSummary{}, err
 			}
 			sum.Sales++

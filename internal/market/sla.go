@@ -1,9 +1,7 @@
 package market
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/datamarket/mbp/internal/ml"
@@ -70,21 +68,4 @@ func (b *Broker) VerifySLA(m ml.Model, samples int, seed uint64) (SLAReport, err
 		rep.Rows[i] = SLARow{Delta: d, Quoted: quoted[i], Measured: est.Mean, StdErr: est.StdErr}
 	}
 	return rep, nil
-}
-
-// ExportLedger writes the transaction ledger and revenue split as JSON.
-func (b *Broker) ExportLedger(w io.Writer) error {
-	txs := b.ledger.view().txs
-	commission := b.commission
-	var total float64
-	for _, t := range txs {
-		total += t.Price
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Transactions []Transaction `json:"transactions"`
-		SellerShare  float64       `json:"sellerShare"`
-		BrokerShare  float64       `json:"brokerShare"`
-	}{txs, total * (1 - commission), total * commission})
 }

@@ -1,8 +1,6 @@
 package market
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"github.com/datamarket/mbp/internal/ml"
@@ -49,36 +47,5 @@ func TestVerifySLAErrors(t *testing.T) {
 	}
 	if _, err := b.VerifySLA(ml.LinearSVM, 10, 1); err == nil {
 		t.Fatal("unknown model accepted")
-	}
-}
-
-func TestExportLedger(t *testing.T) {
-	b := testBroker(t)
-	for i := 0; i < 3; i++ {
-		if _, err := b.BuyAtPoint(ml.LinearRegression, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := b.ExportLedger(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Transactions []Transaction `json:"transactions"`
-		SellerShare  float64       `json:"sellerShare"`
-		BrokerShare  float64       `json:"brokerShare"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Transactions) != 3 {
-		t.Fatalf("%d transactions", len(decoded.Transactions))
-	}
-	var total float64
-	for _, tx := range decoded.Transactions {
-		total += tx.Price
-	}
-	if diff := total - decoded.SellerShare - decoded.BrokerShare; diff > 1e-9 || diff < -1e-9 {
-		t.Fatal("revenue split inconsistent in export")
 	}
 }

@@ -123,9 +123,7 @@ func sameLedgers(t *testing.T, name string, a, b []market.Transaction) {
 
 func buyKeyed(t *testing.T, n *clusterNode, key string, delta float64) (*market.Purchase, bool, error) {
 	t.Helper()
-	return n.b.BuyIdempotent(context.Background(), key, func(ctx context.Context) (*market.Purchase, error) {
-		return n.b.BuyAtPointContext(ctx, markettest.Model, delta)
-	})
+	return n.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta, Key: key})
 }
 
 // TestQuorumPartitionStallsThenConverges is the quorum-ack property
@@ -229,7 +227,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +240,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 	}
 	// More traffic after the boundary: the tail the bootstrap resumes.
 	for i := 0; i < 3; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +251,7 @@ func TestCompactionMidTailFallsBackToSnapshot(t *testing.T) {
 
 	// The live tail keeps flowing after the bootstrap.
 	for i := 0; i < 2; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,7 +289,7 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	ld := newLeader(t, []string{f.url}, store.Options{}, replica.Config{})
 	ld.node.StartLeading()
 	delta := markettest.Menu(t, ld.b)[0].Delta
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "follower to catch up", func() bool { return converged(ld, f) })
@@ -311,13 +309,13 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	if f.b.IsFollower() {
 		t.Fatal("promoted broker still refuses writes")
 	}
-	if _, err := f.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, _, err := f.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 		t.Fatalf("sale on promoted node: %v", err)
 	}
 
 	// The deposed leader does not know yet; its next shipment is fenced
 	// and it steps down.
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+	if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "stale leader to step down", func() bool { return !ld.node.IsLeading() })
@@ -327,7 +325,7 @@ func TestFencingDeposesStaleLeader(t *testing.T) {
 	if hint := ld.b.LeaderHint(); hint != f.url {
 		t.Fatalf("leader hint = %q, want the new leader %q", hint, f.url)
 	}
-	if _, err := ld.b.BuyAtPoint(markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
+	if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); !errors.Is(err, market.ErrFollower) {
 		t.Fatalf("sale on deposed leader: %v, want ErrFollower", err)
 	}
 }
@@ -342,7 +340,7 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 	ld.node.StartLeading()
 	delta := markettest.Menu(t, ld.b)[0].Delta
 	for i := 0; i < 4; i++ {
-		if _, err := ld.b.BuyAtPoint(markettest.Model, delta); err != nil {
+		if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,12 +361,15 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 	if err := ld.b.RepublishCurve(markettest.Model, c2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "async follower to converge", func() bool { return converged(ld, f) })
+	// The follower journals each frame before applying it in memory, so
+	// its frame cursor can match the leader's a moment before the
+	// republished curve is served: wait for the curve too.
+	var fc *pricing.Curve
+	waitFor(t, 10*time.Second, "async follower to converge", func() bool {
+		fc, err = f.b.Curve(markettest.Model)
+		return converged(ld, f) && err == nil && fc.Points()[0] == c2.Points()[0]
+	})
 	sameLedgers(t, "async", ld.b.Ledger(), f.b.Ledger())
-	fc, err := f.b.Curve(markettest.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lp, fp := c2.Points(), fc.Points()
 	if len(lp) != len(fp) {
 		t.Fatalf("follower curve has %d points, leader %d", len(fp), len(lp))
@@ -378,7 +379,7 @@ func TestAsyncFollowerServesReplicatedReads(t *testing.T) {
 			t.Fatalf("curve point %d: follower %+v, leader %+v", i, fp[i], lp[i])
 		}
 	}
-	if _, err := f.b.BuyAtPoint(markettest.Model, delta); !errors.Is(err, market.ErrFollower) {
+	if _, _, err := f.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: delta}); !errors.Is(err, market.ErrFollower) {
 		t.Fatalf("follower sale: %v, want ErrFollower", err)
 	}
 }
@@ -391,7 +392,7 @@ func TestStopDropsTargetSeries(t *testing.T) {
 		f := newFollower(t, store.Options{})
 		ld := newLeader(t, []string{f.url}, store.Options{}, replica.Config{})
 		ld.node.StartLeading()
-		if _, err := ld.b.BuyAtPoint(markettest.Model, markettest.Menu(t, ld.b)[0].Delta); err != nil {
+		if _, _, err := ld.b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: markettest.Menu(t, ld.b)[0].Delta}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, 10*time.Second, "follower to catch up", func() bool { return converged(ld, f) })

@@ -1,6 +1,7 @@
 package repricer_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -42,7 +43,7 @@ func buyRows(t *testing.T, b *market.Broker, r *rng.RNG, n int) {
 	pts := curve.Points()
 	for i := 0; i < n; i++ {
 		j := r.Intn(len(pts))
-		if _, err := b.BuyAtPoint(markettest.Model, 1/pts[j].X); err != nil {
+		if _, _, err := b.Buy(context.Background(), markettest.Model, market.Spec{Kind: market.AtPoint, Value: 1 / pts[j].X}); err != nil {
 			t.Fatalf("buy at row %d: %v", j, err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestTamperedCandidateRejectedInvisibly(t *testing.T) {
 				default:
 				}
 				j := qr.Intn(len(origPts))
-				price, _, err := b.Quote(markettest.Model, 1/origPts[j].X)
+				price, _, err := b.Quote(context.Background(), markettest.Model, 1/origPts[j].X)
 				if err != nil {
 					select {
 					case quoteErr <- "quote error: " + err.Error():

@@ -106,10 +106,6 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Cooldown returns the configured open→half-open delay, e.g. for a
-// Retry-After header.
-func (b *Breaker) Cooldown() time.Duration { return b.cfg.Cooldown }
-
 // Allow asks to pass one request through. It returns nil (the caller
 // MUST later call RecordSuccess or RecordFailure exactly once) or
 // ErrBreakerOpen (the caller fails fast and records nothing).

@@ -17,7 +17,6 @@ import (
 // /metrics snapshot shows exactly how much failure was injected next
 // to how the pipeline absorbed it.
 var (
-	metChaosErrs    = obs.Default.Counter(obs.Name("resilience.chaos_injected_total", "kind", "error"))
 	metChaosLatency = obs.Default.Counter(obs.Name("resilience.chaos_injected_total", "kind", "latency"))
 	metChaosHangs   = obs.Default.Counter(obs.Name("resilience.chaos_injected_total", "kind", "hang"))
 	metChaosDrops   = obs.Default.Counter(obs.Name("resilience.chaos_injected_total", "kind", "drop"))
@@ -30,8 +29,6 @@ var (
 // ChaosConfig sets the per-decision fault probabilities. All
 // probabilities are clamped to [0, 1] at decision time.
 type ChaosConfig struct {
-	// ErrProb is the probability Fault returns ErrInjected.
-	ErrProb float64
 	// LatencyProb is the probability Delay sleeps.
 	LatencyProb float64
 	// Latency is the mean injected sleep; each injection draws
@@ -85,8 +82,7 @@ func NewChaos(seed uint64, cfg ChaosConfig) *Chaos {
 }
 
 // Update atomically replaces the probabilities; the decision stream
-// position is kept. Tests use it to stop injecting failure and watch
-// the circuit breaker recover.
+// position is kept. Tests use it to stop injecting faults mid-run.
 func (c *Chaos) Update(cfg ChaosConfig) {
 	if cfg.Latency <= 0 {
 		cfg.Latency = 10 * time.Millisecond
@@ -105,22 +101,6 @@ func (c *Chaos) Config() ChaosConfig {
 // draw returns the RNG stream for the next decision.
 func (c *Chaos) draw() *rng.RNG {
 	return rng.Stream(c.seed, c.n.Add(1))
-}
-
-// Fault returns ErrInjected with probability ErrProb — wired where a
-// dependency call can fail, e.g. the exchange→broker hop.
-func (c *Chaos) Fault(ctx context.Context) error {
-	if c == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if c.draw().Bernoulli(c.cfg.Load().ErrProb) {
-		metChaosErrs.Inc()
-		return ErrInjected
-	}
-	return nil
 }
 
 // Delay injects latency (probability LatencyProb) or a hang until ctx
@@ -221,7 +201,7 @@ func (c *Chaos) StoreFaults() *store.Faults {
 // ParseChaos builds a Chaos from a comma-separated spec, the format
 // of cmd/mbpmarket's -chaos flag:
 //
-//	err=0.1,latency=0.05,latency-ms=20,hang=0.01,drop=0.02,seed=7
+//	latency=0.05,latency-ms=20,hang=0.01,drop=0.02,seed=7
 //
 // The storage-engine fault keys torn, short and fsync-err feed
 // StoreFaults; partition feeds the replication shipping hop (see
@@ -259,7 +239,7 @@ func ParseChaos(spec string) (*Chaos, error) {
 			}
 			cfg.Latency = time.Duration(f * float64(time.Millisecond))
 			continue
-		case "err", "latency", "hang", "drop", "torn", "short", "fsync-err", "partition":
+		case "latency", "hang", "drop", "torn", "short", "fsync-err", "partition":
 			if f < 0 || f > 1 {
 				return nil, fmt.Errorf("resilience: chaos %s must be in [0, 1], got %v", key, f)
 			}
@@ -267,8 +247,6 @@ func ParseChaos(spec string) (*Chaos, error) {
 			return nil, fmt.Errorf("resilience: unknown chaos key %q", key)
 		}
 		switch key {
-		case "err":
-			cfg.ErrProb = f
 		case "latency":
 			cfg.LatencyProb = f
 		case "hang":

@@ -10,8 +10,8 @@ import (
 func TestChaosNilIsNoOp(t *testing.T) {
 	var c *Chaos
 	ctx := context.Background()
-	if err := c.Fault(ctx); err != nil {
-		t.Fatalf("nil Fault = %v", err)
+	if err := c.Partition(ctx); err != nil {
+		t.Fatalf("nil Partition = %v", err)
 	}
 	if err := c.Delay(ctx); err != nil {
 		t.Fatalf("nil Delay = %v", err)
@@ -27,10 +27,10 @@ func TestChaosNilIsNoOp(t *testing.T) {
 func TestChaosFaultSequenceIsDeterministic(t *testing.T) {
 	const n = 200
 	run := func() []bool {
-		c := NewChaos(7, ChaosConfig{ErrProb: 0.3})
+		c := NewChaos(7, ChaosConfig{PartitionProb: 0.3})
 		out := make([]bool, n)
 		for i := range out {
-			out[i] = c.Fault(context.Background()) != nil
+			out[i] = c.Partition(context.Background()) != nil
 		}
 		return out
 	}
@@ -51,12 +51,12 @@ func TestChaosFaultSequenceIsDeterministic(t *testing.T) {
 }
 
 func TestChaosFaultReturnsErrInjected(t *testing.T) {
-	c := NewChaos(1, ChaosConfig{ErrProb: 1})
-	if err := c.Fault(context.Background()); !errors.Is(err, ErrInjected) {
+	c := NewChaos(1, ChaosConfig{PartitionProb: 1})
+	if err := c.Partition(context.Background()); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
-	c.Update(ChaosConfig{ErrProb: 0})
-	if err := c.Fault(context.Background()); err != nil {
+	c.Update(ChaosConfig{PartitionProb: 0})
+	if err := c.Partition(context.Background()); err != nil {
 		t.Fatalf("after Update(0): %v", err)
 	}
 }
@@ -97,12 +97,12 @@ func TestChaosDrop(t *testing.T) {
 }
 
 func TestParseChaos(t *testing.T) {
-	c, err := ParseChaos("err=0.1, latency=0.2,latency-ms=25,hang=0.01,drop=0.05,seed=9")
+	c, err := ParseChaos("partition=0.1, latency=0.2,latency-ms=25,hang=0.01,drop=0.05,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := c.Config()
-	if cfg.ErrProb != 0.1 || cfg.LatencyProb != 0.2 || cfg.HangProb != 0.01 || cfg.DropProb != 0.05 {
+	if cfg.PartitionProb != 0.1 || cfg.LatencyProb != 0.2 || cfg.HangProb != 0.01 || cfg.DropProb != 0.05 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.Latency != 25*time.Millisecond {
@@ -115,7 +115,9 @@ func TestParseChaos(t *testing.T) {
 	if c, err := ParseChaos(""); c != nil || err != nil {
 		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", c, err)
 	}
-	for _, bad := range []string{"err=2", "err=-0.1", "bogus=1", "err", "latency-ms=-5", "seed=x", "err=zz"} {
+	// err= was the exchange-hop fault; it is gone, and an old spec
+	// naming it must fail loudly rather than inject nothing.
+	for _, bad := range []string{"drop=2", "drop=-0.1", "bogus=1", "err=0.1", "drop", "latency-ms=-5", "seed=x", "drop=zz"} {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", bad)
 		}

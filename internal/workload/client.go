@@ -124,30 +124,26 @@ type BrokerClient struct {
 
 // Menu implements Client.
 func (c *BrokerClient) Menu(ctx context.Context) ([]pricing.PriceError, error) {
-	return c.B.PriceErrorCurve(c.Model)
+	return c.B.PriceErrorCurve(c.Model, "")
 }
 
 // Quote implements Client.
 func (c *BrokerClient) Quote(ctx context.Context, delta float64) (float64, float64, error) {
-	return c.B.QuoteContext(ctx, c.Model, delta)
+	return c.B.Quote(ctx, c.Model, delta)
 }
 
 // BuyAtPoint implements Client.
 func (c *BrokerClient) BuyAtPoint(ctx context.Context, delta float64, key string) (BuyResult, error) {
-	p, replayed, err := c.B.BuyIdempotent(ctx, key, func(ctx context.Context) (*market.Purchase, error) {
-		return c.B.BuyAtPointContext(ctx, c.Model, delta)
-	})
-	if err != nil {
-		return BuyResult{}, err
-	}
-	return BuyResult{Seq: p.Seq, Price: p.Price, Replayed: replayed}, nil
+	return c.buy(ctx, market.Spec{Kind: market.AtPoint, Value: delta, Key: key})
 }
 
 // BuyWithPriceBudget implements Client.
 func (c *BrokerClient) BuyWithPriceBudget(ctx context.Context, budget float64, key string) (BuyResult, error) {
-	p, replayed, err := c.B.BuyIdempotent(ctx, key, func(ctx context.Context) (*market.Purchase, error) {
-		return c.B.BuyWithPriceBudgetContext(ctx, c.Model, budget)
-	})
+	return c.buy(ctx, market.Spec{Kind: market.PriceBudget, Value: budget, Key: key})
+}
+
+func (c *BrokerClient) buy(ctx context.Context, s market.Spec) (BuyResult, error) {
+	p, replayed, err := c.B.Buy(ctx, c.Model, s)
 	if err != nil {
 		return BuyResult{}, err
 	}
@@ -162,8 +158,8 @@ func (c *BrokerClient) Ledger(ctx context.Context) (LedgerSummary, error) {
 		sum.Seqs[i] = tx.Seq
 		sum.Gross += tx.Price
 	}
-	sum.SellerShare, sum.BrokerShare = c.B.RevenueSplit()
-	sum.Sellers = c.B.RevenueSplits()
+	rev := c.B.Revenue()
+	sum.SellerShare, sum.BrokerShare, sum.Sellers = rev.SellerShare, rev.BrokerShare, rev.Sellers
 	rep := c.B.AttributionTotals()
 	sum.AttributionChecked = true
 	sum.ExactViolations = rep.ExactViolations
